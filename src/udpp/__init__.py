@@ -3,130 +3,31 @@
 Exact pairwise semantics, output classification of finite populations under
 fairness, bounded well-specification sweeps, and a compiler turning
 two-counter machines into protocols with halting-linked behaviour.
+
+The package namespace holds the README's library map and the model's core
+names; everything else is imported from its submodule.
 """
 
-from .core import (
-    ColorId,
-    Configuration,
-    Guard,
-    NotEnabled,
-    ParseError,
-    Protocol,
-    Rule,
-    StateId,
-    Trace,
-    TransitionInstance,
-    UdppError,
-    active_states,
-    config_add,
-    enabled_instances,
-    fire,
-    is_initial,
-    singleton,
-    validate_protocol,
-)
-from .counter import (
-    CmConfig,
-    CmRunResult,
-    CounterMachine,
-    Dec,
-    Goto,
-    GotoCycle,
-    Halt,
-    Inc,
-    OutOfRange,
-    cm_run,
-    cm_step,
-    next_instr,
-    resolve_index,
-    validate_machine,
-)
-from .exploration import (
-    CanonicalConfig,
-    EmptyConfiguration,
-    ExplorationLimits,
-    OutputClass,
-    ReachGraph,
-    TruncatedGraph,
-    Verdict,
-    WellSpecReport,
-    bottom_sccs,
-    canonicalize,
-    check_well_specification,
-    classify_graph,
-    classify_output,
-    enumerate_initial_configs,
-    explore,
-    random_fair_run,
-)
-from .reduction import (
-    ALL_MONITORS,
-    NotHalting,
-    StuckReplay,
-    build_witness,
-    certificate_verdict,
-    compile_machine,
-    replay_halting_run,
-    run_monitors,
-)
+from .core import Configuration, Protocol, Rule, UdppError, enabled_instances, fire
+from .counter import cm_run
+from .exploration import check_well_specification, classify_output, random_fair_run
+from .reduction import build_witness, compile_machine, replay_halting_run, run_monitors
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_MONITORS",
-    "CanonicalConfig",
-    "CmConfig",
-    "CmRunResult",
-    "ColorId",
     "Configuration",
-    "CounterMachine",
-    "Dec",
-    "EmptyConfiguration",
-    "ExplorationLimits",
-    "Goto",
-    "GotoCycle",
-    "Guard",
-    "Halt",
-    "Inc",
-    "NotEnabled",
-    "NotHalting",
-    "OutOfRange",
-    "OutputClass",
-    "ParseError",
     "Protocol",
-    "ReachGraph",
     "Rule",
-    "StateId",
-    "StuckReplay",
-    "Trace",
-    "TransitionInstance",
-    "TruncatedGraph",
     "UdppError",
-    "Verdict",
-    "WellSpecReport",
-    "active_states",
-    "bottom_sccs",
     "build_witness",
-    "canonicalize",
-    "certificate_verdict",
     "check_well_specification",
-    "classify_graph",
     "classify_output",
     "cm_run",
-    "cm_step",
     "compile_machine",
-    "config_add",
     "enabled_instances",
-    "enumerate_initial_configs",
-    "explore",
     "fire",
-    "is_initial",
-    "next_instr",
     "random_fair_run",
     "replay_halting_run",
-    "resolve_index",
     "run_monitors",
-    "singleton",
-    "validate_machine",
-    "validate_protocol",
 ]

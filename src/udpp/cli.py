@@ -29,7 +29,6 @@ from .exploration import (
     VERDICT_BOUNDED_OK,
     VERDICT_INCONCLUSIVE,
     VERDICT_WITNESS,
-    bottom_sccs,
     check_well_specification,
     classify_graph,
     concretize_path,
@@ -51,6 +50,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
+def _int_at_least(low: int):
+    """An argparse type for integers of at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: '{text}'") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
 
 
 def _read(path: str) -> str:
@@ -118,23 +136,13 @@ def _verdict_exit(verdict: Verdict) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _print_no_output_evidence(protocol: Protocol, config, graph) -> None:
-    mixed = None
-    by_value: dict[int, frozenset] = {}
-    for component in bottom_sccs(graph):
-        values = {protocol.output[q] for node in component for q in node.active_states()}
-        if len(values) != 1:
-            mixed = component
-            break
-        by_value.setdefault(values.pop(), component)
-    if mixed is not None:
-        target = mixed
+def _print_no_output_evidence(protocol: Protocol, config, graph, target) -> None:
+    if len({protocol.output[q] for node in target for q in node.active_states()}) > 1:
         print("# evidence: reachable bottom component with mixed opinions")
     else:
-        target = by_value[0]
         print("# evidence: conflicting stable consensuses are reachable;")
         print("# the trace below leads into an output-0 component")
-    path = shortest_path(graph, graph.root, frozenset(target))
+    path = shortest_path(graph, graph.root, target)
     assert path is not None
     stem = concretize_path(protocol, config, path)
     print("# stem")
@@ -179,7 +187,7 @@ def _cmd_classify(args) -> int:
     oc = classify_graph(protocol, graph)
     print(oc.describe())
     if oc.verdict is Verdict.NO_OUTPUT:
-        _print_no_output_evidence(protocol, config, graph)
+        _print_no_output_evidence(protocol, config, graph, oc.component)
     return _verdict_exit(oc.verdict)
 
 
@@ -272,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cm-run", help="run a counter machine from (1, 0, 0)")
     p.add_argument("machine")
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--max-steps", type=_non_negative, default=100_000)
     p.set_defaults(func=_cmd_cm_run)
 
     p = sub.add_parser("compile", help="compile a counter machine into a protocol")
@@ -284,37 +292,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol")
     p.add_argument("config")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_non_negative, default=100)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("classify", help="stable-consensus verdict for one configuration")
     p.add_argument("protocol")
     p.add_argument("config")
-    p.add_argument("--max-nodes", type=int, default=100_000)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-nodes", type=_positive, default=100_000)
+    p.add_argument("--max-depth", type=_non_negative, default=None)
     p.add_argument("--certificate", choices=["explore", "sigma"], default="explore")
     p.add_argument("--machine", help="machine file, required with --certificate sigma")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("sweep", help="classify all small initial configurations")
     p.add_argument("protocol")
-    p.add_argument("--max-agents", type=int, required=True)
-    p.add_argument("--max-colors", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=100_000)
+    p.add_argument("--max-agents", type=_positive, required=True)
+    p.add_argument("--max-colors", type=_positive, required=True)
+    p.add_argument("--max-nodes", type=_positive, default=100_000)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("witness", help="build the halting witness configuration")
     p.add_argument("machine")
-    p.add_argument("--k", type=int, default=None, help="step bound; default: steps to halt")
-    p.add_argument("--max-steps", type=int, default=100_000, help="halting probe budget")
+    p.add_argument("--k", type=_positive, default=None, help="step bound; default: steps to halt")
+    p.add_argument("--max-steps", type=_non_negative, default=100_000, help="halting probe budget")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("replay-sigma", help="scripted witness run down to a deadlock")
     p.add_argument("machine")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--k", type=_positive, default=None)
+    p.add_argument("--max-steps", type=_non_negative, default=100_000)
     p.add_argument("--witness", help="start from this configuration file instead of building one")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_replay)

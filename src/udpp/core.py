@@ -72,20 +72,21 @@ class Rule:
 class TransitionInstance:
     """A rule together with the colors chosen for its two roles.
 
-    The colors must satisfy the rule's guard; this is checked at construction
-    so an instance is well-formed by definition (enabledness at a particular
-    configuration is a separate question).
+    Construction does not check the guard: :func:`enabled_instances` only
+    builds instances that satisfy it, and :func:`fire` rejects those that do
+    not. Code that builds instances from outside input checks
+    :meth:`guard_violation` itself.
     """
 
     rule: Rule
     d: ColorId
     e: ColorId
 
-    def __post_init__(self) -> None:
-        if not self.rule.guard.holds(self.d, self.e):
-            raise ValueError(
-                f"colors ({self.d}, {self.e}) do not satisfy guard '{self.rule.guard.value}'"
-            )
+    def guard_violation(self) -> str | None:
+        """Why the colors fail the rule's guard; None when they satisfy it."""
+        if self.rule.guard.holds(self.d, self.e):
+            return None
+        return f"colors ({self.d}, {self.e}) do not satisfy guard '{self.rule.guard.value}'"
 
     def __str__(self) -> str:
         return f"{self.rule} @ ({self.d}, {self.e})"
@@ -145,9 +146,6 @@ class Configuration:
             hist[color] = hist.get(color, 0) + count
         return hist
 
-    def __add__(self, other: "Configuration") -> "Configuration":
-        return config_add(self, other)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
@@ -165,22 +163,9 @@ class Configuration:
         return f"Configuration({self._counts!r})"
 
 
-def config_add(a: Configuration, b: Configuration) -> Configuration:
-    """Component-wise sum of two configurations."""
-    counts = dict(a.items())
-    for key, count in b.items():
-        counts[key] = counts.get(key, 0) + count
-    return Configuration(counts)
-
-
 def singleton(state: StateId, color: ColorId) -> Configuration:
     """The configuration holding exactly one agent, at (state, color)."""
     return Configuration({(state, color): 1})
-
-
-def active_states(config: Configuration) -> frozenset[StateId]:
-    """States occupied by at least one agent of any color."""
-    return config.active_states()
 
 
 @dataclass(frozen=True)
@@ -280,24 +265,42 @@ def enabled_instances(protocol: Protocol, config: Configuration) -> list[Transit
     return found
 
 
+def _apply(config: Configuration, instance: TransitionInstance) -> Configuration | None:
+    """The configuration after firing instance: both agents change state,
+    neither changes color. None when the colors fail the guard or an agent is
+    missing. Whether the rule belongs to a protocol is the caller's concern."""
+    rule = instance.rule
+    if not rule.guard.holds(instance.d, instance.e):
+        return None
+    counts = dict(config.items())
+    for key in ((rule.pre[0], instance.d), (rule.pre[1], instance.e)):
+        left = counts.get(key, 0)
+        if left < 1:
+            return None
+        counts[key] = left - 1
+    for key in ((rule.post[0], instance.d), (rule.post[1], instance.e)):
+        counts[key] = counts.get(key, 0) + 1
+    return Configuration(counts)
+
+
 def fire(protocol: Protocol, config: Configuration, instance: TransitionInstance) -> Configuration:
     """Apply an enabled instance: both agents change state, neither changes color.
 
     Raises :class:`NotEnabled` when the instance's rule is not part of the
-    protocol or the required agents are missing.
+    protocol, its colors fail the guard, or the required agents are missing.
     """
     rule = instance.rule
     if rule not in protocol.rule_set:
         raise NotEnabled(f"not a rule of this protocol: {rule}")
-    counts = dict(config.items())
-    for state, color in ((rule.pre[0], instance.d), (rule.pre[1], instance.e)):
-        left = counts.get((state, color), 0)
-        if left < 1:
-            raise NotEnabled(f"no agent available at ({state}, {color}) for {rule}")
-        counts[(state, color)] = left - 1
-    for state, color in ((rule.post[0], instance.d), (rule.post[1], instance.e)):
-        counts[(state, color)] = counts.get((state, color), 0) + 1
-    return Configuration(counts)
+    after = _apply(config, instance)
+    if after is None:
+        problem = instance.guard_violation()
+        if problem is not None:
+            raise NotEnabled(problem)
+        first, second = (rule.pre[0], instance.d), (rule.pre[1], instance.e)
+        state, color = first if config[first] < 1 else second
+        raise NotEnabled(f"no agent available at ({state}, {color}) for {rule}")
+    return after
 
 
 @dataclass(frozen=True)

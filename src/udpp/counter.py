@@ -109,22 +109,27 @@ def cm_step(machine: CounterMachine, config: CmConfig) -> CmConfig | None:
 
 @dataclass(frozen=True)
 class CmRunResult:
-    """Outcome of a bounded run from (1, 0, 0)."""
+    """Outcome of a bounded run from (1, 0, 0), with the number of decrements
+    that took their zero branch on the way."""
 
     halted: bool
     steps: int
     final: CmConfig
+    zero_branches: int
 
 
 def cm_run(machine: CounterMachine, max_steps: int) -> CmRunResult:
     """Run from (1, 0, 0) for at most max_steps steps."""
     current = CmConfig(1, 0, 0)
-    taken = 0
+    taken = zero_branches = 0
     while True:
-        if isinstance(machine.instrs[current.pc - 1], Halt):
-            return CmRunResult(True, taken, current)
-        if taken == max_steps:
-            return CmRunResult(False, taken, current)
+        ins = machine.instrs[current.pc - 1]
+        if isinstance(ins, Halt):
+            return CmRunResult(True, taken, current, zero_branches)
+        if taken >= max_steps:
+            return CmRunResult(False, taken, current, zero_branches)
+        if isinstance(ins, Dec) and current.counter(ins.counter) == 0:
+            zero_branches += 1
         following = cm_step(machine, current)
         assert following is not None
         current = following

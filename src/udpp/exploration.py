@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -240,8 +240,13 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class OutputClass:
+    """A verdict, the reason for an Unknown one, and, for a NoOutput verdict
+    from :func:`classify_graph`, the bottom component that decides it: the
+    first one with mixed opinions, or else the first one unanimous for 0."""
+
     verdict: Verdict
     reason: str | None = None
+    component: frozenset[CanonicalConfig] | None = field(default=None, compare=False)
 
     def describe(self) -> str:
         if self.verdict is Verdict.UNKNOWN:
@@ -253,19 +258,19 @@ def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
     """Verdict for a fully explored graph; Unknown when it is truncated."""
     if graph.truncated:
         return OutputClass(Verdict.UNKNOWN, graph.truncation_reason or "graph is truncated")
-    opinions: set[int] = set()
+    first_with: dict[int, frozenset[CanonicalConfig]] = {}
     for component in bottom_sccs(graph):
         values = {
             protocol.output[q] for node in component for q in node.active_states()
         }
         if len(values) != 1:
-            return OutputClass(Verdict.NO_OUTPUT)
-        opinions.add(values.pop())
-    if opinions == {0}:
+            return OutputClass(Verdict.NO_OUTPUT, component=component)
+        first_with.setdefault(values.pop(), component)
+    if set(first_with) == {0}:
         return OutputClass(Verdict.OUT0)
-    if opinions == {1}:
+    if set(first_with) == {1}:
         return OutputClass(Verdict.OUT1)
-    return OutputClass(Verdict.NO_OUTPUT)
+    return OutputClass(Verdict.NO_OUTPUT, component=first_with.get(0))
 
 
 def classify_output(
@@ -278,7 +283,10 @@ def classify_output(
     """
     if start.total() == 0:
         raise EmptyConfiguration("cannot classify an empty population")
-    return classify_graph(protocol, explore(protocol, start, limits))
+    oc = classify_graph(protocol, explore(protocol, start, limits))
+    # The deciding component means nothing without its graph, and a sweep
+    # holding one per NoOutput start would keep their nodes alive.
+    return OutputClass(oc.verdict, oc.reason)
 
 
 def enumerate_initial_configs(protocol: Protocol, n: int, k: int) -> list[CanonicalConfig]:

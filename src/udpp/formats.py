@@ -103,20 +103,25 @@ def format_protocol(protocol: Protocol) -> str:
 #
 # Repeated lines for the same (state, color) accumulate.
 
+def _add_agent_line(counts: dict[tuple[str, int], int], number: int, tokens: list[str]) -> None:
+    """Add one 'agent <state> <color> <count>' line to counts."""
+    if tokens[0] != "agent" or len(tokens) != 4:
+        raise ParseError(number, "expected: agent <state> <color> <count>")
+    try:
+        color = int(tokens[2])
+        count = int(tokens[3])
+    except ValueError:
+        raise ParseError(number, "color and count must be integers") from None
+    if count < 1:
+        raise ParseError(number, "count must be positive")
+    key = (tokens[1], color)
+    counts[key] = counts.get(key, 0) + count
+
+
 def parse_configuration(text: str) -> Configuration:
     counts: dict[tuple[str, int], int] = {}
     for number, tokens in _content_lines(text):
-        if tokens[0] != "agent" or len(tokens) != 4:
-            raise ParseError(number, "expected: agent <state> <color> <count>")
-        try:
-            color = int(tokens[2])
-            count = int(tokens[3])
-        except ValueError:
-            raise ParseError(number, "color and count must be integers") from None
-        if count < 1:
-            raise ParseError(number, "count must be positive")
-        key = (tokens[1], color)
-        counts[key] = counts.get(key, 0) + count
+        _add_agent_line(counts, number, tokens)
     return Configuration(counts)
 
 
@@ -202,7 +207,10 @@ def format_machine(machine: CounterMachine) -> str:
 #   fire <rule-name> <d> <e>
 #   agent ...                         (configuration after the fire)
 #
-# Rule names are the rules' labels where present, else r<position>.
+# Rule names are the rules' labels where present, else r<position>. The
+# parser also resolves r<position> for every rule whose name is not taken,
+# so a trace written against an unlabelled copy of a protocol reads back
+# against the labelled original.
 
 def rule_names(protocol: Protocol) -> list[str]:
     """One unique display name per rule, aligned with protocol.rules."""
@@ -231,9 +239,11 @@ def format_trace(protocol: Protocol, trace: Trace) -> str:
 
 def parse_trace(protocol: Protocol, text: str) -> Trace:
     by_name = dict(zip(rule_names(protocol), protocol.rules))
+    for position, rule in enumerate(protocol.rules):
+        by_name.setdefault(f"r{position}", rule)
     initial: Configuration | None = None
     steps: list[tuple[TransitionInstance, Configuration]] = []
-    pending: tuple[TransitionInstance, int] | None = None
+    pending: TransitionInstance | None = None
     block: dict[tuple[str, int], int] = {}
     saw_block_line = False
 
@@ -247,7 +257,7 @@ def parse_trace(protocol: Protocol, text: str) -> Trace:
                 raise ParseError(number, "unexpected second starting configuration")
             initial = config
         else:
-            steps.append((pending[0], config))
+            steps.append((pending, config))
             pending = None
         block = {}
         saw_block_line = False
@@ -256,14 +266,7 @@ def parse_trace(protocol: Protocol, text: str) -> Trace:
     for number, tokens in _content_lines(text):
         last_number = number
         if tokens[0] == "agent":
-            if len(tokens) != 4:
-                raise ParseError(number, "expected: agent <state> <color> <count>")
-            try:
-                key = (tokens[1], int(tokens[2]))
-                count = int(tokens[3])
-            except ValueError:
-                raise ParseError(number, "color and count must be integers") from None
-            block[key] = block.get(key, 0) + count
+            _add_agent_line(block, number, tokens)
             saw_block_line = True
         elif tokens[0] == "fire":
             if len(tokens) != 4:
@@ -276,10 +279,10 @@ def parse_trace(protocol: Protocol, text: str) -> Trace:
                 d, e = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise ParseError(number, "colors must be integers") from None
-            try:
-                pending = (TransitionInstance(rule, d, e), number)
-            except ValueError as exc:
-                raise ParseError(number, str(exc)) from None
+            pending = TransitionInstance(rule, d, e)
+            problem = pending.guard_violation()
+            if problem is not None:
+                raise ParseError(number, problem)
         else:
             raise ParseError(number, f"unknown directive '{tokens[0]}'")
     if saw_block_line:

@@ -33,18 +33,18 @@ from .core import (
     Trace,
     TransitionInstance,
     UdppError,
+    _apply,
     enabled_instances,
     fire,
     is_initial,
 )
 from .counter import (
-    CmConfig,
     CounterMachine,
     Dec,
     Goto,
     Halt,
     Inc,
-    cm_step,
+    cm_run,
     next_instr,
     resolve_index,
 )
@@ -265,24 +265,6 @@ def _main_states(machine: CounterMachine) -> list[str]:
     return mains
 
 
-def _halting_run_stats(machine: CounterMachine, k: int) -> tuple[int, int]:
-    """(steps to halt, zero-branch count) within k steps, else NotHalting."""
-    current = CmConfig(1, 0, 0)
-    zero_branches = 0
-    for taken in range(k + 1):
-        ins = machine.instrs[current.pc - 1]
-        if isinstance(ins, Halt):
-            return taken, zero_branches
-        if taken == k:
-            break
-        if isinstance(ins, Dec) and current.counter(ins.counter) == 0:
-            zero_branches += 1
-        following = cm_step(machine, current)
-        assert following is not None
-        current = following
-    raise NotHalting(f"machine did not halt within {k} steps")
-
-
 def build_witness(machine: CounterMachine, k: int) -> Configuration:
     """Initial configuration from which the scripted run reaches a deadlock
     with disagreeing opinions, given that the machine halts within k steps.
@@ -296,8 +278,10 @@ def build_witness(machine: CounterMachine, k: int) -> Configuration:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    _, zero_branches = _halting_run_stats(machine, k)
-    colors = max(2 * k, zero_branches + 3)
+    run = cm_run(machine, k)
+    if not run.halted:
+        raise NotHalting(f"machine did not halt within {k} steps")
+    colors = max(2 * k, run.zero_branches + 3)
     counts: dict[tuple[StateId, int], int] = {}
     for color in range(colors):
         counts[(tagged(RES1, "R1"), color)] = 2 * k + 7
@@ -322,11 +306,12 @@ class _Replayer:
         rule = self.by_label.get(label)
         if rule is None:
             raise StuckReplay(f"compiled protocol has no rule labelled '{label}'")
+        instance = TransitionInstance(rule, d, e)
         try:
-            after = fire(self.protocol, self.current, TransitionInstance(rule, d, e))
-        except (NotEnabled, ValueError) as exc:
+            after = fire(self.protocol, self.current, instance)
+        except NotEnabled as exc:
             raise StuckReplay(f"scripted step '{label}' with colors ({d}, {e}): {exc}") from exc
-        self.steps.append((TransitionInstance(rule, d, e), after))
+        self.steps.append((instance, after))
         self.current = after
 
     def fire_family(self, family: str, tags: tuple[str, str], d: int, e: int) -> None:
@@ -514,20 +499,6 @@ def _is_halt_drain(rule: Rule) -> bool:
     return is_instr(pm) and pm == qm and pm2 == SINK1 and qm2 == GARBAGE
 
 
-def _apply_unchecked(config: Configuration, instance: TransitionInstance) -> Configuration | None:
-    """Fire without protocol membership checks; None when counts are short."""
-    rule = instance.rule
-    counts = dict(config.items())
-    for state, color in ((rule.pre[0], instance.d), (rule.pre[1], instance.e)):
-        left = counts.get((state, color), 0)
-        if left < 1:
-            return None
-        counts[(state, color)] = left - 1
-    for state, color in ((rule.post[0], instance.d), (rule.post[1], instance.e)):
-        counts[(state, color)] = counts.get((state, color), 0) + 1
-    return Configuration(counts)
-
-
 def run_monitors(
     protocol: Protocol, trace: Trace, monitors: tuple[str, ...] = ALL_MONITORS
 ) -> list[str]:
@@ -561,7 +532,7 @@ def run_monitors(
         where = f"step {number}"
         if rule not in protocol.rule_set:
             violations.append(f"{where}: rule is not part of the protocol: {rule}")
-        computed = _apply_unchecked(current, instance)
+        computed = _apply(current, instance)
         if computed is None:
             violations.append(f"{where}: instance was not enabled: {instance}")
         elif computed != recorded:

@@ -67,6 +67,30 @@ def test_unknown_flag_is_an_input_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "seesaw.pp", "--max-agents", "2", "--max-colors", "0"],
+        ["sweep", "seesaw.pp", "--max-colors", "2", "--max-agents", "0"],
+        ["classify", "seesaw.pp", "seesaw.cfg", "--max-nodes", "0"],
+        ["classify", "seesaw.pp", "seesaw.cfg", "--max-depth", "-1"],
+        ["witness", SAMPLES / "halt.cm", "--k", "0"],
+        ["replay-sigma", SAMPLES / "halt.cm", "--k", "0"],
+        ["simulate", "seesaw.pp", "seesaw.cfg", "--steps", "-1"],
+        ["cm-run", SAMPLES / "pump.cm", "--max-steps", "-1"],
+        ["witness", SAMPLES / "pump.cm", "--max-steps", "-1"],
+    ],
+    ids=lambda argv: " ".join([argv[0], *argv[-2:]]),
+)
+def test_out_of_range_numbers_are_input_errors(capsys, seesaw_files, argv):
+    pp, cfg = seesaw_files
+    argv = [{"seesaw.pp": pp, "seesaw.cfg": cfg}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[-1]]
+    assert "Traceback" not in err
+
+
 def test_classify_seesaw_no_output(capsys, seesaw_files):
     pp, cfg = seesaw_files
     code, out, _ = run(capsys, "classify", pp, cfg)
@@ -206,6 +230,19 @@ def test_compile_output_parses_back(capsys, tmp_path):
 
     compiled = parse_protocol(out_file.read_text())
     assert compiled == compile_machine(CounterMachine((Halt(),)))
+
+
+def test_compile_simulate_monitor_pipeline(capsys, tmp_path):
+    # compiled rules carry no labels, so the trace names them r<position>
+    pp, cfg = tmp_path / "count4.pp", tmp_path / "count4.cfg"
+    trace_file = tmp_path / "count4.trace"
+    assert run(capsys, "compile", SAMPLES / "count4.cm", "--out", pp)[0] == 0
+    assert run(capsys, "witness", SAMPLES / "count4.cm", "--k", 4, "--out", cfg)[0] == 0
+    code, _, _ = run(capsys, "simulate", pp, cfg, "--steps", 150, "--out", trace_file)
+    assert code == 0 and "fire r" in trace_file.read_text()
+    only = "sink1-removal-discipline,reservoir-no-refill"
+    code, out, _ = run(capsys, "monitors", SAMPLES / "count4.cm", trace_file, "--only", only)
+    assert code == 0 and out == "0 violations\n"
 
 
 def test_witness_replay_monitor_pipeline(capsys, tmp_path):

@@ -56,6 +56,21 @@ def test_run_pump_never_halts():
     assert result.final.x == 50  # one inc every other step
 
 
+def test_run_counts_zero_branches_like_stepping():
+    rng = random.Random(61)
+    for _ in range(1000):
+        machine = random_machine(rng)
+        config, steps, zero_branches = CmConfig(1, 0, 0), 0, 0
+        while steps < 60 and not isinstance(machine.instrs[config.pc - 1], Halt):
+            following = cm_step(machine, config)
+            # a decrement that leaves both counters alone took its zero branch
+            unchanged = (following.x, following.y) == (config.x, config.y)
+            zero_branches += isinstance(machine.instrs[config.pc - 1], Dec) and unchanged
+            config, steps = following, steps + 1
+        result = cm_run(machine, 60)
+        assert (result.steps, result.final, result.zero_branches) == (steps, config, zero_branches)
+
+
 def test_run_reproducible():
     machine = CounterMachine((Inc("x"), Dec("x", 4), Goto(2), Halt()))
     assert cm_run(machine, 100) == cm_run(machine, 100)

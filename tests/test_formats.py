@@ -120,6 +120,27 @@ def test_trace_parse_rejects_unknown_rule():
     assert "nonsense" in str(err.value)
 
 
+def test_trace_parse_rejects_bad_lines():
+    protocol = seesaw_protocol()
+    for line, message in (
+        ("agent p 0 -1", "count must be positive"),
+        ("agent p 0 0", "count must be positive"),
+        ("fire recruit 0 0", "colors (0, 0) do not satisfy guard 'neq'"),
+        ("fire bounce 0 1", "colors (0, 1) do not satisfy guard 'eq'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_trace(protocol, f"agent p 0 2\nagent q 1 1\n\n{line}\n\nagent q 0 2\n")
+        assert str(err.value) == f"line 4: {message}"
+
+
+def test_trace_parse_resolves_positional_names():
+    protocol = seesaw_protocol()
+    _, c1, _ = seesaw_configs()
+    text = "agent p 0 2\nagent q 1 1\n\nfire r0 0 1\n\nagent p 0 1\nagent q 0 1\nagent q 1 1\n"
+    trace = parse_trace(protocol, text)
+    assert trace.steps[0][0].rule == protocol.rules[0] and trace.final == c1
+
+
 def test_trace_parse_rejects_dangling_fire():
     protocol = seesaw_protocol()
     text = "agent p 0 1\nagent q 1 1\n\nfire recruit 0 1\n"

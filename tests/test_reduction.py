@@ -385,6 +385,10 @@ def test_monitors_flag_counter_agents_moved_by_other_families():
     trace = Trace(start, ((TransitionInstance(broadcast, 0, 1), after),))
     violations = run_monitors(protocol, trace)
     assert any("outside the increment/decrement micro-steps" in v for v in violations)
+    # the eq variant has both agents present but fails its guard on (0, 1)
+    eq_variant = next(r for r in protocol.rules if r.label == "ConvertToSink2[x]:eq@R1R1")
+    trace = Trace(start, ((TransitionInstance(eq_variant, 0, 1), after),))
+    assert any("instance was not enabled" in v for v in run_monitors(protocol, trace))
 
 
 def test_monitors_sink_and_reservoir_hold_on_random_runs():
