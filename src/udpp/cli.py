@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import formats, reduction
-from .core import ParseError, Protocol, UdppError, is_initial, validate_protocol
+from .core import Protocol, UdppError, is_initial, validate_protocol
 from .counter import cm_run
 from .exploration import (
     ExplorationLimits,
@@ -34,6 +34,7 @@ from .exploration import (
     concretize_path,
     cycle_through,
     explore,
+    opinions,
     random_fair_run,
     shortest_path,
 )
@@ -137,7 +138,7 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 
 def _print_no_output_evidence(protocol: Protocol, config, graph, target) -> None:
-    if len({protocol.output[q] for node in target for q in node.active_states()}) > 1:
+    if len(opinions(protocol, target)) > 1:
         print("# evidence: reachable bottom component with mixed opinions")
     else:
         print("# evidence: conflicting stable consensuses are reachable;")
@@ -215,19 +216,16 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _witness_steps(args, machine) -> int:
+def _build_witness(args, machine):
     if args.k is not None:
-        return args.k
-    probe = cm_run(machine, args.max_steps)
-    if not probe.halted:
-        raise reduction.NotHalting(f"machine did not halt within {args.max_steps} steps")
-    return max(probe.steps, 1)
+        return reduction.build_witness(machine, args.k)
+    return reduction._witness_of_run(cm_run(machine, args.max_steps))
 
 
 def _cmd_witness(args) -> int:
     machine = formats.parse_machine(_read(args.machine))
     try:
-        config = reduction.build_witness(machine, _witness_steps(args, machine))
+        config = _build_witness(args, machine)
     except reduction.NotHalting as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNNING
@@ -242,7 +240,7 @@ def _cmd_replay(args) -> int:
         if args.witness:
             config = formats.parse_configuration(_read(args.witness))
         else:
-            config = reduction.build_witness(machine, _witness_steps(args, machine))
+            config = _build_witness(args, machine)
     except reduction.NotHalting as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNNING
@@ -250,8 +248,7 @@ def _cmd_replay(args) -> int:
     oc = reduction.certificate_verdict(protocol, trace)
     text = formats.format_trace(protocol, trace)
     text += f"\n# terminal: deadlock after {len(trace)} steps\n"
-    opinions = sorted({protocol.output[q] for q in trace.final.active_states()})
-    text += f"# active opinions at the deadlock: {opinions}\n"
+    text += f"# active opinions at the deadlock: {sorted(opinions(protocol, [trace.final]))}\n"
     text += f"# verdict: {oc.describe()}\n"
     _emit(text, args.out)
     return EXIT_WITNESS if oc.verdict is Verdict.NO_OUTPUT else EXIT_INCONCLUSIVE
@@ -344,13 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except UdppError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (UdppError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

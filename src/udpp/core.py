@@ -119,9 +119,6 @@ class Configuration:
     def __getitem__(self, key: CountKey) -> int:
         return self._counts.get(key, 0)
 
-    def get(self, state: StateId, color: ColorId) -> int:
-        return self._counts.get((state, color), 0)
-
     def items(self) -> Iterator[tuple[CountKey, int]]:
         return iter(self._counts.items())
 

@@ -8,7 +8,7 @@ by one, except goto which jumps unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .core import UdppError
 
@@ -118,22 +118,24 @@ class CmRunResult:
     zero_branches: int
 
 
+def cm_trace(machine: CounterMachine) -> Iterator[tuple[CmConfig, Instr]]:
+    """The run from (1, 0, 0): each configuration with the instruction it
+    executes, ending after the halt instruction (never, if it does not halt)."""
+    current: CmConfig | None = CmConfig(1, 0, 0)
+    while current is not None:
+        yield current, machine.instrs[current.pc - 1]
+        current = cm_step(machine, current)
+
+
 def cm_run(machine: CounterMachine, max_steps: int) -> CmRunResult:
     """Run from (1, 0, 0) for at most max_steps steps."""
-    current = CmConfig(1, 0, 0)
-    taken = zero_branches = 0
-    while True:
-        ins = machine.instrs[current.pc - 1]
+    zero_branches = 0
+    for taken, (current, ins) in enumerate(cm_trace(machine)):
         if isinstance(ins, Halt):
             return CmRunResult(True, taken, current, zero_branches)
         if taken >= max_steps:
             return CmRunResult(False, taken, current, zero_branches)
-        if isinstance(ins, Dec) and current.counter(ins.counter) == 0:
-            zero_branches += 1
-        following = cm_step(machine, current)
-        assert following is not None
-        current = following
-        taken += 1
+        zero_branches += isinstance(ins, Dec) and current.counter(ins.counter) == 0
 
 
 def resolve_index(machine: CounterMachine, index: int) -> int:

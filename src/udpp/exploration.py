@@ -54,9 +54,6 @@ class CanonicalConfig:
 
     signature: Signature
 
-    def total(self) -> int:
-        return sum(n for column in self.signature for _, n in column)
-
     def active_states(self) -> frozenset[StateId]:
         return frozenset(q for column in self.signature for q, _ in column)
 
@@ -109,9 +106,6 @@ class ReachGraph:
     truncated: bool
     truncation_reason: str | None = None
 
-    def successors(self, node: CanonicalConfig) -> tuple[CanonicalConfig, ...]:
-        return self.edges[node]
-
     def __contains__(self, node: object) -> bool:
         return node in self.edges
 
@@ -129,14 +123,13 @@ def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits)
     depth: dict[CanonicalConfig, int] = {root: 0}
     order: list[CanonicalConfig] = [root]
     edges: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] = {}
-    reasons: list[str] = []
+    reasons: dict[str, str] = {}  # budget -> message, in the order first hit
     queue: deque[CanonicalConfig] = deque([root])
     while queue:
         node = queue.popleft()
         if limits.max_depth is not None and depth[node] >= limits.max_depth:
             if enabled_instances(protocol, node.representative()):
-                if not any(r.startswith("depth") for r in reasons):
-                    reasons.append(f"depth budget exceeded (max_depth={limits.max_depth})")
+                reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
             edges[node] = ()
             continue
         rep = node.representative()
@@ -146,8 +139,7 @@ def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits)
             succ = canonicalize(fire(protocol, rep, inst))
             if succ not in depth:
                 if len(depth) >= limits.max_nodes:
-                    if not any(r.startswith("node") for r in reasons):
-                        reasons.append(f"node budget exceeded (max_nodes={limits.max_nodes})")
+                    reasons.setdefault("node", f"node budget exceeded (max_nodes={limits.max_nodes})")
                     continue
                 depth[succ] = depth[node] + 1
                 order.append(succ)
@@ -161,7 +153,7 @@ def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits)
         edges=edges,
         root=root,
         truncated=bool(reasons),
-        truncation_reason="; ".join(reasons) if reasons else None,
+        truncation_reason="; ".join(reasons.values()) or None,
     )
 
 
@@ -231,6 +223,12 @@ def bottom_sccs(graph: ReachGraph) -> list[frozenset[CanonicalConfig]]:
     return bottoms
 
 
+def opinions(protocol: Protocol, configs: Iterable[Configuration | CanonicalConfig]) -> set[int]:
+    """The opinions present in these configurations: the outputs of their
+    active states."""
+    return {protocol.output[q] for config in configs for q in config.active_states()}
+
+
 class Verdict(Enum):
     OUT0 = "Out0"
     OUT1 = "Out1"
@@ -260,9 +258,7 @@ def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
         return OutputClass(Verdict.UNKNOWN, graph.truncation_reason or "graph is truncated")
     first_with: dict[int, frozenset[CanonicalConfig]] = {}
     for component in bottom_sccs(graph):
-        values = {
-            protocol.output[q] for node in component for q in node.active_states()
-        }
+        values = opinions(protocol, component)
         if len(values) != 1:
             return OutputClass(Verdict.NO_OUTPUT, component=component)
         first_with.setdefault(values.pop(), component)

@@ -39,16 +39,18 @@ from .core import (
     is_initial,
 )
 from .counter import (
+    CmRunResult,
     CounterMachine,
     Dec,
     Goto,
     Halt,
     Inc,
     cm_run,
+    cm_trace,
     next_instr,
     resolve_index,
 )
-from .exploration import OutputClass, Verdict
+from .exploration import OutputClass, Verdict, opinions
 
 TAGS = ("R1", "R2")
 FLAG_PLUS, FLAG_MINUS, FLAG_ZERO, FLAG_POS = "+", "-", "=0", ">0"
@@ -278,9 +280,16 @@ def build_witness(machine: CounterMachine, k: int) -> Configuration:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    run = cm_run(machine, k)
+    return _witness_of_run(cm_run(machine, k), k)
+
+
+def _witness_of_run(run: CmRunResult, k: int | None = None) -> Configuration:
+    """The witness for a run from (1, 0, 0) that halts; k defaults to the
+    number of steps to halt, at least 1."""
     if not run.halted:
-        raise NotHalting(f"machine did not halt within {k} steps")
+        raise NotHalting(f"machine did not halt within {run.steps} steps")
+    if k is None:
+        k = max(run.steps, 1)
     colors = max(2 * k, run.zero_branches + 3)
     counts: dict[tuple[StateId, int], int] = {}
     for color in range(colors):
@@ -351,40 +360,31 @@ def replay_halting_run(machine: CounterMachine, start: Configuration) -> Trace:
     shadow_color = {"x": sx, "y": sy}
     shadow_flag = {"x": FLAG_ZERO, "y": FLAG_ZERO}
 
-    counters = {"x": 0, "y": 0}
-    m = resolve_index(machine, 1)
-    while True:
-        ins = machine.instrs[m - 1]
-        if isinstance(ins, Halt):
-            break
-        if isinstance(ins, Goto):
-            raise StuckReplay("control agent reached an unresolved goto state")
-        c = ins.counter
+    # Gotos compile to nothing, so the control agent skips them; the loop
+    # ends with `config` at the halt instruction.
+    for config, ins in cm_trace(machine):
+        if isinstance(ins, (Goto, Halt)):
+            continue
+        m, c = config.pc, ins.counter
         s = shadow_color[c]
         if isinstance(ins, Inc):
             r.fire_family(f"Inc[{m},{shadow_flag[c]}]", ("R1", "R2"), control, s)
             r.fire_family(f"Increment[{c}]", ("R2", "R1"), s, s)
             shadow_flag[c] = FLAG_POS
-            counters[c] += 1
-            m = next_instr(machine, m)
-        elif counters[c] > 0:
+        elif config.counter(c) > 0:
             if shadow_flag[c] == FLAG_ZERO:
                 r.fire_family(f"DetectPositive[{c}]", ("R2", "R1"), s, s)
                 shadow_flag[c] = FLAG_POS
             r.fire_family(f"Dec[{m}]", ("R1", "R2"), control, s)
             r.fire_family(f"Decrement[{c}]", ("R2", "R1"), s, s)
             shadow_flag[c] = FLAG_ZERO
-            counters[c] -= 1
-            m = next_instr(machine, m)
         else:
             if shadow_flag[c] != FLAG_ZERO:
-                raise StuckReplay("shadow flag disagrees with the mirrored counter")
+                raise StuckReplay("shadow flag disagrees with the machine's counter")
             r.fire_family(f"ZeroTest1[{m}]", ("R1", "R2"), control, s)
             fresh = r.draw_fresh()
             r.fire_family(f"ZeroTest2[{m}]", ("R1", "R2"), control, fresh)
             shadow_color[c] = fresh
-            m = resolve_index(machine, ins.target)
-    halt_at = m
 
     # Drain R2 so the setup chain can never restart. Every remaining R2 agent
     # has a color no sink1 agent shares (R2 colors are unique), so the neq
@@ -416,12 +416,12 @@ def replay_halting_run(machine: CounterMachine, start: Configuration) -> Trace:
                 break
         if found is None:
             break
-        r.fire_family(f"CauseDeadlock[{halt_at}]", ("R1", found[0]), control, found[1])
+        r.fire_family(f"CauseDeadlock[{config.pc}]", ("R1", found[0]), control, found[1])
 
     # A counter left nonzero with its shadow flag at =0 can still be detected
     # once; settle such detections so that nothing at all remains enabled.
     for c in COUNTERS:
-        if counters[c] > 0 and shadow_flag[c] == FLAG_ZERO:
+        if config.counter(c) > 0 and shadow_flag[c] == FLAG_ZERO:
             s = shadow_color[c]
             r.fire_family(f"DetectPositive[{c}]", ("R2", "R1"), s, s)
             shadow_flag[c] = FLAG_POS
@@ -445,10 +445,10 @@ def certificate_verdict(protocol: Protocol, trace: Trace) -> OutputClass:
     final = trace.final
     if enabled_instances(protocol, final):
         return OutputClass(Verdict.UNKNOWN, "final configuration is not a deadlock")
-    opinions = {protocol.output[q] for q in final.active_states()}
-    if opinions == {0, 1}:
+    present = opinions(protocol, [final])
+    if present == {0, 1}:
         return OutputClass(Verdict.NO_OUTPUT)
-    return OutputClass(Verdict.UNKNOWN, f"deadlock is unanimous for {opinions}")
+    return OutputClass(Verdict.UNKNOWN, f"deadlock is unanimous for {present}")
 
 
 MONITOR_FRESH = "fresh-shadow-entry"

@@ -295,12 +295,25 @@ def strip_comments(text):
 
 def test_replay_non_halting_machine_exits_two(capsys):
     code, _, err = run(capsys, "replay-sigma", SAMPLES / "pump.cm", "--max-steps", 500)
-    assert code == 2 and "did not halt" in err
+    assert code == 2 and err == "error: machine did not halt within 500 steps\n"
 
 
 def test_witness_non_halting_machine_exits_two(capsys):
     code, _, err = run(capsys, "witness", SAMPLES / "pump.cm", "--max-steps", 500)
-    assert code == 2
+    assert code == 2 and err == "error: machine did not halt within 500 steps\n"
+    code, _, err = run(capsys, "witness", SAMPLES / "pump.cm", "--k", 7)
+    assert code == 2 and err == "error: machine did not halt within 7 steps\n"
+
+
+@pytest.mark.parametrize("k", [(), ("--k", 4)])
+def test_witness_runs_the_machine_once(capsys, monkeypatch, tmp_path, k):
+    import udpp.counter
+
+    runs = []
+    trace = udpp.counter.cm_trace
+    monkeypatch.setattr(udpp.counter, "cm_trace", lambda machine: runs.append(machine) or trace(machine))
+    code, _, _ = run(capsys, "witness", SAMPLES / "count4.cm", *k, "--out", tmp_path / "w.cfg")
+    assert code == 0 and len(runs) == 1
 
 
 def test_classify_by_certificate(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -14,6 +15,7 @@ from udpp.counter import (
     OutOfRange,
     cm_run,
     cm_step,
+    cm_trace,
     next_instr,
     validate_machine,
 )
@@ -69,6 +71,17 @@ def test_run_counts_zero_branches_like_stepping():
             config, steps = following, steps + 1
         result = cm_run(machine, 60)
         assert (result.steps, result.final, result.zero_branches) == (steps, config, zero_branches)
+
+
+def test_trace_follows_stepping_and_ends_after_halt():
+    rng = random.Random(29)
+    for _ in range(300):
+        machine = random_machine(rng)
+        expected, config = [], CmConfig(1, 0, 0)
+        while config is not None and len(expected) < 60:
+            expected.append((config, machine.instrs[config.pc - 1]))
+            config = cm_step(machine, config)
+        assert list(islice(cm_trace(machine), 60)) == expected
 
 
 def test_run_reproducible():

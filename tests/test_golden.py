@@ -69,3 +69,14 @@ def test_readme_command_matches_golden(readme_results, position):
     stem = golden_stem(position)
     expected = {path.suffix[1:]: path.read_bytes() for path in GOLDEN.glob(f"{stem}.*")}
     assert readme_results[position] == expected
+
+
+def test_readme_commands_are_the_readme_command_line_block():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = tuple(
+        line.split("#", 1)[0].strip().removeprefix("udpp ")
+        for line in block.splitlines()
+        if line.startswith("udpp ")
+    )
+    assert commands == README_COMMANDS

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 
 import pytest
 
@@ -13,7 +15,8 @@ from udpp.core import (
     singleton,
     validate_protocol,
 )
-from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
+from support import random_machine
+from udpp.counter import CounterMachine, Dec, Goto, GotoCycle, Halt, Inc, cm_run, cm_trace
 from udpp.exploration import (
     ExplorationLimits,
     Verdict,
@@ -21,6 +24,7 @@ from udpp.exploration import (
     enumerate_initial_configs,
     random_fair_run,
 )
+from udpp.formats import format_trace
 from udpp.reduction import (
     ALL_MONITORS,
     MONITOR_RESERVOIR,
@@ -139,8 +143,6 @@ def test_goto_first_machine_enters_the_resolved_instruction():
 
 
 def test_compile_rejects_pure_goto_cycles():
-    from udpp.counter import GotoCycle
-
     with pytest.raises(GotoCycle):
         compile_machine(CounterMachine((Goto(2), Goto(1), Halt())))
 
@@ -236,9 +238,6 @@ def test_replay_settles_a_leftover_nonzero_counter():
 
 
 def test_replay_certifies_twenty_random_halting_machines():
-    from support import random_machine
-    from udpp.counter import cm_run
-
     rng = random.Random(99)
     checked = 0
     while checked < 20:
@@ -427,3 +426,103 @@ def test_single_reservoir_agents_deadlock_with_output_one():
     for state in ("R1@R1", "R2@R2"):
         oc = classify_output(protocol, singleton(state, 0), limits)
         assert oc.verdict is Verdict.OUT1
+
+
+def seeded_halting_replays(count: int = 40):
+    """Replays of the first count seeded random machines that halt after 2 to
+    30 steps and compile (a goto loop off the halting path fails to compile),
+    each started from the witness for its steps to halt."""
+    rng = random.Random(5)
+    replays = []
+    while len(replays) < count:
+        machine = random_machine(rng, max_len=8)
+        run = cm_run(machine, 30)
+        if not run.halted or run.steps < 2:
+            continue
+        try:
+            protocol = compile_machine(machine)
+        except GotoCycle:
+            continue
+        witness = build_witness(machine, run.steps)
+        replays.append((machine, protocol, replay_halting_run(machine, witness)))
+    return replays
+
+
+@pytest.fixture(scope="module")
+def halting_replays():
+    return seeded_halting_replays()
+
+
+# SHA-256 of format_trace for each of seeded_halting_replays(), recorded from
+# a replay that kept its own counter values and goto chase, so these bytes do
+# not depend on counter.cm_trace.
+REPLAY_TRACE_DIGESTS = (
+    "d2fde9f06ad9aab91cdee8421cb0ff05d069219c703be50e1137c013ebb27a01",
+    "b4e0e74722504349afbffdbacd193d831194960934e03ce08f4ab1d50c8bd4ad",
+    "b4e0e74722504349afbffdbacd193d831194960934e03ce08f4ab1d50c8bd4ad",
+    "fc6489f269f47b11ec46c1f2f4292d19f357e9f32fa3db4b4ae78d3e4ee5f94c",
+    "e0518585961473c2bc2e55c4260cf119bc099f1504640f5755b5f7ac3f400432",
+    "51c023c9f66502e1acf25785f94e5ebf1e94d798446960331b633fe7fc57fb42",
+    "17f1af862fc4be355a9c29c1405b7eb1e51b4229da89606a13bf2502d495f726",
+    "f7d8722de002b2016580d09cebb0c46255dfbda1cf0c71481ba80311a0b83866",
+    "38bd5e2c51a0b07aaa763076dd54a00222a3a3d3b73c22a92501bd0ae4a6ac24",
+    "2f88f6cb95bf761f31ed61cb3c46d9091e1bed299a5fae5960e2f47a8cb64a87",
+    "e0518585961473c2bc2e55c4260cf119bc099f1504640f5755b5f7ac3f400432",
+    "851eb42524a96bc96c6a866d9165492bce60c0d946a998ed2bac94a66faeeb52",
+    "7fc33e664fe6e69a265834d5f59ebf822deae511a3c72bc8d7d84c934d9a15d4",
+    "be43579bdc3de9812f2492a388cf66c55d3e608aec7fe8d11058fdf5a0d57986",
+    "45a412ed7bf477a8cfbf3b5222474af765d1627c869b8214105459a5e73c2eec",
+    "b4291840b10375deee7e93da32b6c31d2b6438b6d84752cd26622147b5220c48",
+    "6461ef6279d261ebf45b27bca6bc0b1c2d2cd7b69baa39a71e2a70a3246be0a1",
+    "8fa36dfad8f551a58b7f0b5b21816e856229cd58d5972129de5feda7fa83289a",
+    "cba447bf763f25f3b06024e8d30d1980b32ab36ed1e6b199c73e80a3dc59fd04",
+    "3c8afe4364d145277e6ff7e00efd8e22b4098a521e867bd1aecea1a5c520eb03",
+    "8114869895317fbab2b713232216fbee10eb669f3807b7e7b78e9a090fb478ea",
+    "f8ea93572ace4f9933ddc85420f875b41be5179db31f10843c539b6c2e9aea80",
+    "3ce36db1c1fa1594938f2ccf208246e525ef653d58ca5b3f371ff309cbf66f29",
+    "fc8cbc763800e40edfdd5a2441d63e68ae09b25cc185a1d540c9b4950c5373e9",
+    "2d244f323f6ed32bc89176d1cf3f348dda9d6fc31b8f9b981033b6ca1cef3286",
+    "01f32b51f507aec312d8e8dc34de4fc9a23e989a41144ddd474e5a5443951288",
+    "4d7b3f20cad67fd0ee033223347f6410b9e1603d470f0383b1953a04184ea36f",
+    "9c16613350b8f2e7af5f5636fd6e1cf56469c1cba3dd2ef034838700939b5798",
+    "67bc527f618bc57211df978013893dbdcf4277713cebe0c887873f8da37f1278",
+    "b4291840b10375deee7e93da32b6c31d2b6438b6d84752cd26622147b5220c48",
+    "dce4a9ef5a3c47ef930cfe10ec0e8c3286d31765c1a6abef2cc0c3e29ac31670",
+    "8f4951803faf997a29e1fece32ecfa07c7c2c4ab7744d14e298a18a68a6a387f",
+    "3bd809ceb630663f1377759898fc4016d5f93b962f58abf1e1ca59d55ada0cb6",
+    "3bd809ceb630663f1377759898fc4016d5f93b962f58abf1e1ca59d55ada0cb6",
+    "fcd9bef122a70ca8dac6c4077ad3052f457b1fb4dd944d19b6d4f16299c1832f",
+    "c670c2aac4e4965e1b5648c5246bb905269d7f336cacc502c523591c85fe3b53",
+    "ba6153c0007915bbfb37dac2c65c2e2874371b09b02bc6dbe1852a4903227b49",
+    "d32cf9c81a10c7435995040fc8cae15bb31d568d64746d4d452701e12df7c33b",
+    "c670c2aac4e4965e1b5648c5246bb905269d7f336cacc502c523591c85fe3b53",
+    "e09192f1afb53d2b2ef97b0c9743234f78408b489b41419585a7122ca94a50fb",
+)
+
+
+def test_replay_trace_bytes_are_pinned(halting_replays):
+    digests = tuple(
+        hashlib.sha256(format_trace(protocol, trace).encode()).hexdigest()
+        for _, protocol, trace in halting_replays
+    )
+    assert digests == REPLAY_TRACE_DIGESTS
+
+
+def test_replay_follows_the_machines_own_run(halting_replays):
+    for machine, _, trace in halting_replays:
+        expected = []
+        for config, ins in cm_trace(machine):
+            if isinstance(ins, Inc):
+                expected.append(("Inc", config.pc))
+            elif isinstance(ins, Dec):
+                expected.append(("Dec" if config.counter(ins.counter) else "ZeroTest1", config.pc))
+        halt_at = config.pc
+        scripted, deadlocks = [], set()
+        for instance, _ in trace.steps:
+            found = re.match(r"(Inc|Dec|ZeroTest1|CauseDeadlock)\[(\d+)[,\]]", instance.rule.label)
+            if found and found[1] == "CauseDeadlock":
+                deadlocks.add(int(found[2]))
+            elif found:
+                scripted.append((found[1], int(found[2])))
+        assert scripted == expected
+        assert deadlocks == {halt_at}
