@@ -73,7 +73,10 @@ _non_negative = _int_at_least(0)
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UdppError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -173,7 +176,7 @@ def _cmd_classify(args) -> int:
         if not _same_protocol(compiled, protocol):
             raise UdppError("protocol file does not match the compiled machine")
         try:
-            trace = reduction.replay_halting_run(machine, config)
+            trace = reduction._replay(compiled, machine, config)
         except reduction.StuckReplay as exc:
             print(f"Unknown(certificate replay failed: {exc})")
             return EXIT_INCONCLUSIVE
@@ -244,7 +247,7 @@ def _cmd_replay(args) -> int:
     except reduction.NotHalting as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNNING
-    trace = reduction.replay_halting_run(machine, config)
+    trace = reduction._replay(protocol, machine, config)
     oc = reduction.certificate_verdict(protocol, trace)
     text = formats.format_trace(protocol, trace)
     text += f"\n# terminal: deadlock after {len(trace)} steps\n"

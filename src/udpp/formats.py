@@ -207,21 +207,24 @@ def format_machine(machine: CounterMachine) -> str:
 #   fire <rule-name> <d> <e>
 #   agent ...                         (configuration after the fire)
 #
-# Rule names are the rules' labels where present, else r<position>. The
-# parser also resolves r<position> for every rule whose name is not taken,
-# so a trace written against an unlabelled copy of a protocol reads back
-# against the labelled original.
+# A rule is named by its label, or by r<position> when the label cannot be
+# read back: a label that is missing, is not one token, holds '#', is some
+# rule's positional name, or repeats an earlier label. The parser also
+# resolves r<position> for every rule, so a trace written against an
+# unlabelled copy of a protocol reads back against the labelled original.
 
 def rule_names(protocol: Protocol) -> list[str]:
-    """One unique display name per rule, aligned with protocol.rules."""
+    """One unique single-token display name per rule, aligned with protocol.rules."""
+    positional = [f"r{position}" for position in range(len(protocol.rules))]
+    taken = set(positional)
     names: list[str] = []
-    used: set[str] = set()
-    for position, rule in enumerate(protocol.rules):
-        name = rule.label or f"r{position}"
-        if name in used:
-            name = f"{name}#{position}"
-        used.add(name)
-        names.append(name)
+    for rule, fallback in zip(protocol.rules, positional):
+        label = rule.label
+        if label and label.split() == [label] and "#" not in label and label not in taken:
+            taken.add(label)
+            names.append(label)
+        else:
+            names.append(fallback)
     return names
 
 
@@ -238,9 +241,8 @@ def format_trace(protocol: Protocol, trace: Trace) -> str:
 
 
 def parse_trace(protocol: Protocol, text: str) -> Trace:
-    by_name = dict(zip(rule_names(protocol), protocol.rules))
-    for position, rule in enumerate(protocol.rules):
-        by_name.setdefault(f"r{position}", rule)
+    by_name = {f"r{position}": rule for position, rule in enumerate(protocol.rules)}
+    by_name.update(zip(rule_names(protocol), protocol.rules))
     initial: Configuration | None = None
     steps: list[tuple[TransitionInstance, Configuration]] = []
     pending: TransitionInstance | None = None

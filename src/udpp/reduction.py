@@ -301,9 +301,8 @@ def _witness_of_run(run: CmRunResult, k: int | None = None) -> Configuration:
 class _Replayer:
     """Drives one deterministic execution of a compiled protocol."""
 
-    def __init__(self, machine: CounterMachine, start: Configuration) -> None:
-        self.machine = machine
-        self.protocol = compile_machine(machine)
+    def __init__(self, protocol: Protocol, start: Configuration) -> None:
+        self.protocol = protocol
         self.by_label = {rule.label: rule for rule in self.protocol.rules}
         self.current = start
         self.steps: list[tuple[TransitionInstance, Configuration]] = []
@@ -343,7 +342,12 @@ def replay_halting_run(machine: CounterMachine, start: Configuration) -> Trace:
     still-fireable nonzero detections. The terminal configuration is checked
     to enable nothing; StuckReplay on any deviation.
     """
-    r = _Replayer(machine, start)
+    return _replay(compile_machine(machine), machine, start)
+
+
+def _replay(protocol: Protocol, machine: CounterMachine, start: Configuration) -> Trace:
+    """replay_halting_run for the protocol already compiled from machine."""
+    r = _Replayer(protocol, start)
     if not is_initial(r.protocol, start):
         raise StuckReplay("start configuration occupies non-initial states")
 
@@ -458,45 +462,20 @@ MONITOR_RESERVOIR = "reservoir-no-refill"
 ALL_MONITORS = (MONITOR_FRESH, MONITOR_COUNTER, MONITOR_SINK1, MONITOR_RESERVOIR)
 
 
-def _mains(rule: Rule) -> tuple[str, str, str, str]:
-    return (
-        main_of(rule.pre[0]),
-        main_of(rule.pre[1]),
-        main_of(rule.post[0]),
-        main_of(rule.post[1]),
-    )
-
-
-def _is_increment(rule: Rule) -> bool:
-    pm, pm2, qm, qm2 = _mains(rule)
-    return (
-        rule.guard is Guard.EQ
-        and pm2 == RES1
-        and qm2 in COUNTERS
-        and pm == shadow_state(qm2, FLAG_PLUS)
-        and qm == shadow_state(qm2, FLAG_POS)
-    )
-
-
-def _is_decrement(rule: Rule) -> bool:
-    pm, pm2, qm, qm2 = _mains(rule)
-    return (
-        rule.guard is Guard.EQ
-        and pm2 in COUNTERS
-        and qm2 == GARBAGE
-        and pm == shadow_state(pm2, FLAG_MINUS)
-        and qm == shadow_state(pm2, FLAG_ZERO)
-    )
-
-
-def _is_sink2_broadcast(rule: Rule) -> bool:
-    pm, _, qm, qm2 = _mains(rule)
-    return pm == SINK2 and qm == SINK2 and qm2 == SINK2
-
-
-def _is_halt_drain(rule: Rule) -> bool:
-    pm, pm2, qm, qm2 = _mains(rule)
-    return is_instr(pm) and pm == qm and pm2 == SINK1 and qm2 == GARBAGE
+def _family(guard: Guard, pm: str, pm2: str, qm: str, qm2: str) -> str | None:
+    """The monitored micro-step a rule over main states performs: "increment",
+    "decrement", "sink2-broadcast", "halt-drain", or None for any other."""
+    if pm == SINK2 and qm == SINK2 and qm2 == SINK2:
+        return "sink2-broadcast"
+    if is_instr(pm) and pm == qm and pm2 == SINK1 and qm2 == GARBAGE:
+        return "halt-drain"
+    if guard is Guard.EQ and pm2 == RES1 and qm2 in COUNTERS:
+        if (pm, qm) == (shadow_state(qm2, FLAG_PLUS), shadow_state(qm2, FLAG_POS)):
+            return "increment"
+    if guard is Guard.EQ and pm2 in COUNTERS and qm2 == GARBAGE:
+        if (pm, qm) == (shadow_state(pm2, FLAG_MINUS), shadow_state(pm2, FLAG_ZERO)):
+            return "decrement"
+    return None
 
 
 def run_monitors(
@@ -521,13 +500,18 @@ def run_monitors(
     first two can be triggered by legitimate random scheduling (a premature
     zero branch is a valid fire that only later gets caught by the violation
     rules), so randomized testing normally restricts to the last two.
+
+    The monitors read each step's configuration as recorded, so a forged
+    step is judged against the trace it claims, not against a replay.
     """
     violations: list[str] = []
     current = trace.initial
-    used_outside = {
-        color for (q, color), _ in current.items() if main_of(q) not in (RES1, RES2)
-    }
+    used_outside: set[int] = set()
     for number, (instance, recorded) in enumerate(trace.steps, 1):
+        if MONITOR_FRESH in monitors:
+            used_outside |= {
+                color for (q, color), _ in current.items() if main_of(q) not in (RES1, RES2)
+            }
         rule = instance.rule
         where = f"step {number}"
         if rule not in protocol.rule_set:
@@ -538,11 +522,9 @@ def run_monitors(
         elif computed != recorded:
             violations.append(f"{where}: recorded configuration does not match the fired result")
 
-        roles = (
-            (main_of(rule.pre[0]), main_of(rule.post[0]), instance.d),
-            (main_of(rule.pre[1]), main_of(rule.post[1]), instance.e),
-        )
-        for pre_main, post_main, color in roles:
+        pm, pm2, qm, qm2 = (main_of(q) for q in rule.pre + rule.post)
+        family = _family(rule.guard, pm, pm2, qm, qm2)
+        for pre_main, post_main, color in ((pm, qm, instance.d), (pm2, qm2, instance.e)):
             if MONITOR_FRESH in monitors and is_shadow(post_main) and not is_shadow(pre_main):
                 if pre_main != RES2:
                     violations.append(
@@ -557,8 +539,7 @@ def run_monitors(
                 leaving = pre_main in COUNTERS and post_main != pre_main
                 if entering or leaving:
                     which = post_main if entering else pre_main
-                    ok_family = _is_increment(rule) if entering else _is_decrement(rule)
-                    if not ok_family:
+                    if family != ("increment" if entering else "decrement"):
                         violations.append(
                             f"{where}: counter '{which}' agents moved outside the "
                             "increment/decrement micro-steps"
@@ -574,7 +555,7 @@ def run_monitors(
                             f"not the shadow color"
                         )
             if MONITOR_SINK1 in monitors and pre_main == SINK1 and post_main != SINK1:
-                if not (_is_sink2_broadcast(rule) or _is_halt_drain(rule)):
+                if family not in ("sink2-broadcast", "halt-drain"):
                     violations.append(
                         f"{where}: agent removed from sink1 by a rule that may not do so"
                     )
@@ -582,7 +563,4 @@ def run_monitors(
                 violations.append(f"{where}: reservoir '{post_main}' gained an agent")
 
         current = recorded
-        used_outside |= {
-            color for (q, color), _ in current.items() if main_of(q) not in (RES1, RES2)
-        }
     return violations

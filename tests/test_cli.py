@@ -91,6 +91,25 @@ def test_out_of_range_numbers_are_input_errors(capsys, seesaw_files, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cm-run", "bad"],
+        ["simulate", "bad", "seesaw.cfg"],
+        ["classify", "seesaw.pp", "bad"],
+        ["monitors", SAMPLES / "halt.cm", "bad"],
+    ],
+    ids=("machine", "protocol", "config", "trace"),
+)
+def test_non_utf8_input_is_an_input_error(capsys, seesaw_files, tmp_path, argv):
+    pp, cfg = seesaw_files
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xffhalt\n")
+    argv = [{"seesaw.pp": pp, "seesaw.cfg": cfg, "bad": bad}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {bad}: not valid UTF-8 at byte 0\n")
+
+
 def test_classify_seesaw_no_output(capsys, seesaw_files):
     pp, cfg = seesaw_files
     code, out, _ = run(capsys, "classify", pp, cfg)
@@ -314,6 +333,26 @@ def test_witness_runs_the_machine_once(capsys, monkeypatch, tmp_path, k):
     monkeypatch.setattr(udpp.counter, "cm_trace", lambda machine: runs.append(machine) or trace(machine))
     code, _, _ = run(capsys, "witness", SAMPLES / "count4.cm", *k, "--out", tmp_path / "w.cfg")
     assert code == 0 and len(runs) == 1
+
+
+def test_sigma_commands_compile_the_machine_once(capsys, monkeypatch, tmp_path):
+    import udpp.reduction
+
+    pp, cfg = tmp_path / "count4.pp", tmp_path / "count4.cfg"
+    run(capsys, "compile", SAMPLES / "count4.cm", "--out", pp)
+    run(capsys, "witness", SAMPLES / "count4.cm", "--out", cfg)
+    compiles = []
+    families = udpp.reduction._main_families
+    monkeypatch.setattr(
+        udpp.reduction, "_main_families", lambda *args: compiles.append(args) or families(*args)
+    )
+    for argv in (
+        ["replay-sigma", SAMPLES / "count4.cm", "--out", tmp_path / "count4.trace"],
+        ["classify", pp, cfg, "--certificate", "sigma", "--machine", SAMPLES / "count4.cm"],
+    ):
+        compiles.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 3 and len(compiles) == 1, argv[0]
 
 
 def test_classify_by_certificate(capsys, tmp_path):

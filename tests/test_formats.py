@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from support import seesaw_configs, seesaw_protocol
-from udpp.core import Configuration, Guard, ParseError
+from udpp.core import Configuration, Guard, ParseError, Protocol
 from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
 from udpp.exploration import random_fair_run
 from udpp.formats import (
@@ -95,13 +97,32 @@ def test_machine_parse_errors_carry_line_numbers():
         parse_machine("")
 
 
-def test_trace_roundtrip():
+def relabelled_seesaw(labels):
     protocol = seesaw_protocol()
+    rules = [replace(rule, label=label) for rule, label in zip(protocol.rules, labels)]
+    return Protocol.make(protocol.states, rules, protocol.initial, protocol.output)
+
+
+# Label pairs for the seesaw's two rules, with the rule names they give.
+SEESAW_LABELS = (
+    (("recruit", "bounce"), ["recruit", "bounce"]),
+    (("step", "step"), ["step", "r1"]),
+    (("a b", "bounce"), ["r0", "bounce"]),
+    (("x#y", "r0"), ["r0", "r1"]),
+    (("r1", None), ["r0", "r1"]),
+    (("", "r5"), ["r0", "r5"]),
+)
+
+
+def test_trace_roundtrip():
     c0, _, _ = seesaw_configs()
-    trace = random_fair_run(protocol, c0, seed=7, max_steps=5)
-    assert len(trace) == 5
-    again = parse_trace(protocol, format_trace(protocol, trace))
-    assert again == trace
+    for labels, _ in SEESAW_LABELS:
+        protocol = relabelled_seesaw(labels)
+        trace = random_fair_run(protocol, c0, seed=7, max_steps=5)
+        assert len(trace) == 5
+        assert {instance.rule for instance, _ in trace.steps} == set(protocol.rules)
+        again = parse_trace(protocol, format_trace(protocol, trace))
+        assert again == trace
 
 
 def test_compiled_trace_roundtrip():
@@ -149,7 +170,5 @@ def test_trace_parse_rejects_dangling_fire():
 
 
 def test_rule_names_unique_even_for_duplicate_labels():
-    protocol = seesaw_protocol()
-    names = rule_names(protocol)
-    assert names == ["recruit", "bounce"]
-    assert len(set(names)) == len(names)
+    for labels, expected in SEESAW_LABELS:
+        assert rule_names(relabelled_seesaw(labels)) == expected

@@ -27,6 +27,8 @@ from udpp.exploration import (
 from udpp.formats import format_trace
 from udpp.reduction import (
     ALL_MONITORS,
+    MONITOR_COUNTER,
+    MONITOR_FRESH,
     MONITOR_RESERVOIR,
     MONITOR_SINK1,
     NotHalting,
@@ -526,3 +528,87 @@ def test_replay_follows_the_machines_own_run(halting_replays):
                 scripted.append((found[1], int(found[2])))
         assert scripted == expected
         assert deadlocks == {halt_at}
+
+
+# Compiled rule families whose shape the monitors inspect.
+MONITORED_FAMILIES = ("Increment[", "Decrement[", "CauseDeadlock[", "ConvertToSink2[sink1]")
+
+
+def forge(rng, protocol, trace):
+    """The trace with, at random, its first steps cut off, one step's recorded
+    configuration swapped for another of the trace's, and some steps' rules
+    replaced: by the step's own rule or a rule of a monitored family, as it is
+    or made foreign (the other guard, run backwards, or one state replaced)."""
+    steps = list(trace.steps)
+    initial = trace.initial
+    if len(steps) > 1 and rng.random() < 0.3:
+        cut = rng.randrange(1, len(steps))
+        initial, steps = steps[cut - 1][1], steps[cut:]
+    if rng.random() < 0.4:
+        i, j = rng.randrange(len(steps)), rng.randrange(-1, len(steps))
+        steps[i] = (steps[i][0], initial if j < 0 else steps[j][1])
+    monitored = [
+        [r for r in protocol.rules if r.label.startswith(family)] for family in MONITORED_FAMILIES
+    ]
+    rate = rng.choice((0, 0, 0.1, 0.4))
+    for i, (instance, recorded) in enumerate(steps):
+        if rng.random() >= rate:
+            continue
+        rule = instance.rule if rng.random() < 0.5 else rng.choice(rng.choice(monitored))
+        kind = rng.randrange(4)
+        if kind == 1:
+            rule = Rule(rule.pre, Guard.NEQ if rule.guard is Guard.EQ else Guard.EQ, rule.post)
+        elif kind == 2:
+            rule = Rule(rule.post, rule.guard, rule.pre)
+        elif kind == 3:
+            states = list(rule.pre + rule.post)
+            states[rng.randrange(4)] = rng.choice(protocol.states)
+            rule = Rule(tuple(states[:2]), rule.guard, tuple(states[2:]))
+        steps[i] = (TransitionInstance(rule, instance.d, instance.e), recorded)
+    return Trace(initial, tuple(steps))
+
+
+def seeded_monitor_traces(count=300, seed=41):
+    """Traces of compiled random machines that halt within 8 steps: the scripted
+    replay and a 25-step random fair run from the machine's witness, each
+    forged twice at random."""
+    rng = random.Random(seed)
+    traces = []
+    while len(traces) < count:
+        machine = random_machine(rng, max_len=6)
+        run = cm_run(machine, 8)
+        if not run.halted:
+            continue
+        try:
+            protocol = compile_machine(machine)
+        except GotoCycle:
+            continue
+        witness = build_witness(machine, max(run.steps, 1))
+        replay = replay_halting_run(machine, witness)
+        walk = random_fair_run(protocol, witness, rng.randrange(1 << 30), 25)
+        for trace in (replay, walk, replay, walk):
+            traces.append((protocol, forge(rng, protocol, trace)))
+    return traces[:count]
+
+
+# SHA-256 of the violations run_monitors reports on seeded_monitor_traces(),
+# per monitor selection, recorded from a run_monitors that rebuilt the set of
+# colors used outside the reservoirs for every selection and classified rules
+# with one predicate per micro-step.
+MONITOR_SELECTION_DIGESTS = {
+    (MONITOR_FRESH,): "341a48787374045ad5e2bfc39c441fd54fed04646c410a3be7bc572119b8ab90",
+    (MONITOR_COUNTER,): "16cb1afcbc85509634eded5836b312dfe72ea7ca613b3703ccbe8c210ac0eb04",
+    (MONITOR_SINK1,): "a4a8d1e0cf3af9f790a0b7afd24dc1ff620dfda068838926c148e72a7c758a04",
+    (MONITOR_RESERVOIR,): "e70add8928af6530804d4b28ca4aecd3df858c203876b2579a4e7844276f8b9b",
+    (MONITOR_SINK1, MONITOR_RESERVOIR): "ab438f434cbc8e5dbe301518adb621ba91e8065c0be31736fd55c47df644936a",
+    ALL_MONITORS: "b4e74a8fadfd26dbd0a6e99d83b1b754ed76f6a9583b604703033179f9173285",
+}
+
+
+def test_monitor_output_is_pinned_on_forged_traces():
+    traces = seeded_monitor_traces()
+    for selection, expected in MONITOR_SELECTION_DIGESTS.items():
+        digest = hashlib.sha256()
+        for protocol, trace in traces:
+            digest.update(("\n".join(run_monitors(protocol, trace, selection)) + "\n\n").encode())
+        assert digest.hexdigest() == expected, selection
