@@ -266,7 +266,7 @@ def _cmd_monitors(args) -> int:
         selected = tuple(name.strip() for name in args.only.split(","))
         unknown = set(selected) - set(reduction.ALL_MONITORS)
         if unknown:
-            raise UdppError(f"unknown monitors: {', '.join(sorted(unknown))}")
+            raise UdppError("unknown monitors: " + ", ".join(f"'{name}'" for name in sorted(unknown)))
     violations = reduction.run_monitors(protocol, trace, selected)
     for violation in violations:
         print(violation)

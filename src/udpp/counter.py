@@ -70,22 +70,28 @@ class CmConfig:
         return f"pc={self.pc} x={self.x} y={self.y}"
 
 
-def validate_machine(machine: CounterMachine) -> list[str]:
-    """Diagnostics; empty when the machine is runnable from (1, 0, 0)."""
-    problems: list[str] = []
+def _machine_problems(machine: CounterMachine) -> list[tuple[int, str]]:
+    """(instruction index, message) for each reason the machine cannot run
+    from (1, 0, 0), in index order; index 0 means it has no instructions."""
     n = len(machine.instrs)
     if n == 0:
-        return ["machine has no instructions"]
+        return [(0, "machine has no instructions")]
+    problems: list[tuple[int, str]] = []
     for index, ins in enumerate(machine.instrs, 1):
         if isinstance(ins, (Inc, Dec)) and ins.counter not in COUNTER_NAMES:
-            problems.append(f"instruction {index}: unknown counter '{ins.counter}'")
+            problems.append((index, f"unknown counter '{ins.counter}'"))
         target = getattr(ins, "target", None)
         if target is not None and not 1 <= target <= n:
-            problems.append(f"instruction {index}: target {target} is out of range 1..{n}")
+            problems.append((index, f"target {target} is out of range 1..{n}"))
     if isinstance(machine.instrs[-1], (Inc, Dec)):
         # Inc always falls through; Dec falls through on its nonzero branch.
-        problems.append(f"instruction {n}: execution can run past the end; finish with halt or goto")
+        problems.append((n, "execution can run past the end; finish with halt or goto"))
     return problems
+
+
+def validate_machine(machine: CounterMachine) -> list[str]:
+    """Diagnostics; empty when the machine is runnable from (1, 0, 0)."""
+    return [f"instruction {i}: {message}" if i else message for i, message in _machine_problems(machine)]
 
 
 def cm_step(machine: CounterMachine, config: CmConfig) -> CmConfig | None:

@@ -19,7 +19,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Mapping
+from itertools import combinations_with_replacement, groupby
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .core import (
     Configuration,
@@ -124,17 +125,14 @@ def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits)
     order: list[CanonicalConfig] = [root]
     edges: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] = {}
     reasons: dict[str, str] = {}  # budget -> message, in the order first hit
-    queue: deque[CanonicalConfig] = deque([root])
-    while queue:
-        node = queue.popleft()
+    for node in order:  # order grows as nodes are found: it is the breadth-first queue
         if limits.max_depth is not None and depth[node] >= limits.max_depth:
             if enabled_instances(protocol, node.representative()):
                 reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
             edges[node] = ()
             continue
         rep = node.representative()
-        seen_here: set[CanonicalConfig] = set()
-        succs: list[CanonicalConfig] = []
+        succs: dict[CanonicalConfig, None] = {}
         for inst in enabled_instances(protocol, rep):
             succ = canonicalize(fire(protocol, rep, inst))
             if succ not in depth:
@@ -143,10 +141,7 @@ def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits)
                     continue
                 depth[succ] = depth[node] + 1
                 order.append(succ)
-                queue.append(succ)
-            if succ not in seen_here:
-                seen_here.add(succ)
-                succs.append(succ)
+            succs[succ] = None
         edges[node] = tuple(succs)
     return ReachGraph(
         nodes=tuple(order),
@@ -287,25 +282,32 @@ def classify_output(
 
 def enumerate_initial_configs(protocol: Protocol, n: int, k: int) -> list[CanonicalConfig]:
     """All canonical configurations with exactly n agents on initial states
-    and at most k distinct colors, without duplicates modulo recoloring."""
+    and at most k distinct colors, without duplicates modulo recoloring, in
+    signature order."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if k < 1:
         raise ValueError("k must be at least 1")
-    from itertools import combinations_with_replacement
+    # A column is what one color carries: 1..n agents on initial states, as
+    # sorted (state, count) pairs. A signature is a sorted tuple of columns.
+    columns = sorted(
+        tuple((q, len(list(group))) for q, group in groupby(agents))
+        for size in range(1, n + 1)
+        for agents in combinations_with_replacement(sorted(protocol.initial), size)
+    )
+    sizes = [sum(count for _, count in column) for column in columns]
 
-    init_states = sorted(protocol.initial)
-    palette = range(min(n, k))
-    agent_kinds = [(q, c) for c in palette for q in init_states]
-    seen: dict[CanonicalConfig, None] = {}
-    for combo in combinations_with_replacement(agent_kinds, n):
-        counts: dict[tuple[StateId, int], int] = {}
-        for kind in combo:
-            counts[kind] = counts.get(kind, 0) + 1
-        canon = canonicalize(Configuration(counts))
-        if canon not in seen:
-            seen[canon] = None
-    return sorted(seen, key=lambda c: c.signature)
+    def signatures(first: int, agents: int, colors: int) -> Iterator[Signature]:
+        # Depth first over non-decreasing column indices: each one once, sorted.
+        if agents == 0:
+            yield ()
+        elif colors > 0:
+            for i in range(first, len(columns)):
+                if sizes[i] <= agents:
+                    for rest in signatures(i, agents - sizes[i], colors - 1):
+                        yield (columns[i],) + rest
+
+    return [CanonicalConfig(signature) for signature in signatures(0, n, k)]
 
 
 VERDICT_WITNESS = "not-well-specified"
@@ -337,18 +339,15 @@ def check_well_specification(
     """Classify every canonical initial configuration within the bounds."""
     if max_agents < 1:
         raise ValueError("max_agents must be at least 1")
-    entries: list[tuple[CanonicalConfig, OutputClass]] = []
-    saw_witness = False
-    saw_unknown = False
-    for n in range(1, max_agents + 1):
-        for canon in enumerate_initial_configs(protocol, n, max_colors):
-            oc = classify_output(protocol, canon.representative(), limits)
-            entries.append((canon, oc))
-            saw_witness = saw_witness or oc.verdict is Verdict.NO_OUTPUT
-            saw_unknown = saw_unknown or oc.verdict is Verdict.UNKNOWN
-    if saw_witness:
+    entries = [
+        (canon, classify_output(protocol, canon.representative(), limits))
+        for n in range(1, max_agents + 1)
+        for canon in enumerate_initial_configs(protocol, n, max_colors)
+    ]
+    verdicts = {oc.verdict for _, oc in entries}
+    if Verdict.NO_OUTPUT in verdicts:
         verdict = VERDICT_WITNESS
-    elif saw_unknown:
+    elif Verdict.UNKNOWN in verdicts:
         verdict = VERDICT_INCONCLUSIVE
     else:
         verdict = VERDICT_BOUNDED_OK

@@ -16,7 +16,7 @@ from .core import (
     Trace,
     TransitionInstance,
 )
-from .counter import CounterMachine, Dec, Goto, Halt, Inc, Instr, COUNTER_NAMES
+from .counter import COUNTER_NAMES, CounterMachine, Dec, Goto, Halt, Inc, Instr, _machine_problems
 
 
 def _content_lines(text: str):
@@ -142,7 +142,6 @@ def format_configuration(config: Configuration) -> str:
 def parse_machine(text: str) -> CounterMachine:
     instrs: list[Instr] = []
     lines_of: list[int] = []
-    pending_targets: list[tuple[int, int]] = []
     for number, tokens in _content_lines(text):
         keyword = tokens[0]
         if keyword == "inc":
@@ -153,20 +152,16 @@ def parse_machine(text: str) -> CounterMachine:
             if len(tokens) != 3 or tokens[1] not in COUNTER_NAMES:
                 raise ParseError(number, "expected: dec x|y <k>")
             try:
-                target = int(tokens[2])
+                instrs.append(Dec(tokens[1], int(tokens[2])))
             except ValueError:
                 raise ParseError(number, "target must be an integer") from None
-            pending_targets.append((number, target))
-            instrs.append(Dec(tokens[1], target))
         elif keyword == "goto":
             if len(tokens) != 2:
                 raise ParseError(number, "expected: goto <k>")
             try:
-                target = int(tokens[1])
+                instrs.append(Goto(int(tokens[1])))
             except ValueError:
                 raise ParseError(number, "target must be an integer") from None
-            pending_targets.append((number, target))
-            instrs.append(Goto(target))
         elif keyword == "halt":
             if len(tokens) != 1:
                 raise ParseError(number, "expected: halt")
@@ -174,14 +169,12 @@ def parse_machine(text: str) -> CounterMachine:
         else:
             raise ParseError(number, f"unknown instruction '{keyword}'")
         lines_of.append(number)
-    if not instrs:
-        raise ParseError(1, "machine has no instructions")
-    for number, target in pending_targets:
-        if not 1 <= target <= len(instrs):
-            raise ParseError(number, f"target {target} is out of range 1..{len(instrs)}")
-    if isinstance(instrs[-1], (Inc, Dec)):
-        raise ParseError(lines_of[-1], "execution can run past the end; finish with halt or goto")
-    return CounterMachine(tuple(instrs))
+    machine = CounterMachine(tuple(instrs))
+    problems = _machine_problems(machine)
+    if problems:
+        index, message = problems[0]
+        raise ParseError(lines_of[index - 1] if index else 1, message)
+    return machine
 
 
 def format_machine(machine: CounterMachine) -> str:
@@ -243,37 +236,19 @@ def format_trace(protocol: Protocol, trace: Trace) -> str:
 def parse_trace(protocol: Protocol, text: str) -> Trace:
     by_name = {f"r{position}": rule for position, rule in enumerate(protocol.rules)}
     by_name.update(zip(rule_names(protocol), protocol.rules))
-    initial: Configuration | None = None
-    steps: list[tuple[TransitionInstance, Configuration]] = []
-    pending: TransitionInstance | None = None
-    block: dict[tuple[str, int], int] = {}
-    saw_block_line = False
-
-    def flush(number: int) -> None:
-        nonlocal initial, pending, block, saw_block_line
-        if not saw_block_line:
-            raise ParseError(number, "expected a configuration block before this line")
-        config = Configuration(block)
-        if pending is None:
-            if initial is not None:
-                raise ParseError(number, "unexpected second starting configuration")
-            initial = config
-        else:
-            steps.append((pending, config))
-            pending = None
-        block = {}
-        saw_block_line = False
-
-    last_number = 0
+    # Counts are positive, so a block is empty exactly when no agent line
+    # has been read into it.
+    blocks: list[dict[tuple[str, int], int]] = [{}]
+    fires: list[TransitionInstance] = []
+    number = 0
     for number, tokens in _content_lines(text):
-        last_number = number
         if tokens[0] == "agent":
-            _add_agent_line(block, number, tokens)
-            saw_block_line = True
+            _add_agent_line(blocks[-1], number, tokens)
         elif tokens[0] == "fire":
             if len(tokens) != 4:
                 raise ParseError(number, "expected: fire <rule-name> <d> <e>")
-            flush(number)
+            if not blocks[-1]:
+                raise ParseError(number, "expected a configuration block before this line")
             rule = by_name.get(tokens[1])
             if rule is None:
                 raise ParseError(number, f"unknown rule name '{tokens[1]}'")
@@ -281,16 +256,15 @@ def parse_trace(protocol: Protocol, text: str) -> Trace:
                 d, e = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise ParseError(number, "colors must be integers") from None
-            pending = TransitionInstance(rule, d, e)
-            problem = pending.guard_violation()
+            instance = TransitionInstance(rule, d, e)
+            problem = instance.guard_violation()
             if problem is not None:
                 raise ParseError(number, problem)
+            fires.append(instance)
+            blocks.append({})
         else:
             raise ParseError(number, f"unknown directive '{tokens[0]}'")
-    if saw_block_line:
-        flush(last_number)
-    if pending is not None:
-        raise ParseError(last_number, "trace ends with a fire line but no configuration")
-    if initial is None:
-        initial = Configuration()
-    return Trace(initial, tuple(steps))
+    if fires and not blocks[-1]:
+        raise ParseError(number, "trace ends with a fire line but no configuration")
+    initial, *after = (Configuration(block) for block in blocks)
+    return Trace(initial, tuple(zip(fires, after)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import combinations_with_replacement
 
 from udpp.core import (
     Configuration,
@@ -19,6 +20,7 @@ from udpp.core import (
     fire,
 )
 from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
+from udpp.exploration import CanonicalConfig, canonicalize
 
 
 def seesaw_protocol() -> Protocol:
@@ -156,3 +158,17 @@ def raw_output_verdict(protocol: Protocol, start: Configuration, node_cap: int =
     if opinions == {1}:
         return "Out1"
     return "NoOutput"
+
+
+def dedup_initial_configs(protocol: Protocol, n: int, k: int) -> list[CanonicalConfig]:
+    """Canonical starts by generate-and-deduplicate: every coloured multiset
+    of n agents over the initial states and min(n, k) colours, canonicalized,
+    deduplicated and sorted by signature."""
+    kinds = [(q, c) for c in range(min(n, k)) for q in sorted(protocol.initial)]
+    seen: dict[CanonicalConfig, None] = {}
+    for combo in combinations_with_replacement(kinds, n):
+        counts: dict[tuple[str, int], int] = {}
+        for kind in combo:
+            counts[kind] = counts.get(kind, 0) + 1
+        seen.setdefault(canonicalize(Configuration(counts)), None)
+    return sorted(seen, key=lambda c: c.signature)

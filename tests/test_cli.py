@@ -291,6 +291,22 @@ def test_witness_replay_monitor_pipeline(capsys, tmp_path):
     assert code == 0 and out.rstrip().splitlines()[-1] == "0 violations"
 
 
+@pytest.mark.parametrize(
+    "only, error",
+    [
+        ("bogus", "error: unknown monitors: 'bogus'\n"),
+        ("reservoir-no-refill,", "error: unknown monitors: ''\n"),
+        ("zeta,reservoir-no-refill,bogus", "error: unknown monitors: 'bogus', 'zeta'\n"),
+    ],
+    ids=("bogus", "trailing-comma", "two-unknown"),
+)
+def test_unknown_monitor_names_are_quoted(capsys, tmp_path, only, error):
+    trace_file = tmp_path / "empty.trace"
+    trace_file.write_text("")
+    code, out, err = run(capsys, "monitors", SAMPLES / "halt.cm", trace_file, "--only", only)
+    assert (code, out, err) == (1, "", error)
+
+
 def test_replay_defaults_to_building_the_witness(capsys, tmp_path):
     out_file = tmp_path / "count4.trace"
     code, _, _ = run(capsys, "replay-sigma", SAMPLES / "count4.cm", "--out", out_file)

@@ -152,6 +152,17 @@ def test_validate_target_out_of_range():
     assert any("out of range" in p for p in problems)
 
 
+def test_validate_reports_every_problem_in_instruction_order():
+    machine = CounterMachine((Goto(0), Inc("z"), Halt(), Dec("w", 9)))
+    assert validate_machine(machine) == [
+        "instruction 1: target 0 is out of range 1..4",
+        "instruction 2: unknown counter 'z'",
+        "instruction 4: unknown counter 'w'",
+        "instruction 4: target 9 is out of range 1..4",
+        "instruction 4: execution can run past the end; finish with halt or goto",
+    ]
+
+
 def test_validate_good_machine():
     machine = CounterMachine((Inc("x"), Dec("x", 4), Goto(2), Halt()))
     assert validate_machine(machine) == []

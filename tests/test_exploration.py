@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from support import (
     apply_color_map,
     brute_force_bottom_components,
+    dedup_initial_configs,
     random_color_bijection,
     random_config,
     random_protocol,
@@ -31,8 +33,11 @@ from udpp.exploration import (
     random_fair_run,
     shortest_path,
 )
+from udpp.formats import parse_machine
+from udpp.reduction import compile_machine
 
 LIMITS = ExplorationLimits(max_nodes=10_000)
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def test_canonicalize_is_renaming_invariant():
@@ -271,6 +276,18 @@ def test_enumerate_matches_brute_force_count(seesaw):
         )
     }
     assert len(enumerate_initial_configs(seesaw, 3, 2)) == len(brute)
+
+
+def test_enumerate_matches_generate_and_deduplicate(seesaw):
+    halt = compile_machine(parse_machine((SAMPLES / "halt.cm").read_text()))
+    cases = [(seesaw, n, k) for n in range(1, 9) for k in range(1, 5)]
+    cases += [(halt, n, k) for n in range(1, 8) for k in range(1, 4)]
+    rng = random.Random(211)
+    for _ in range(30):
+        protocol = random_protocol(rng, max_states=3)
+        cases.append((protocol, rng.randint(1, 5), rng.randint(1, 4)))
+    for protocol, n, k in cases:
+        assert enumerate_initial_configs(protocol, n, k) == dedup_initial_configs(protocol, n, k)
 
 
 def test_enumerate_only_initial_states():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from support import seesaw_configs, seesaw_protocol
-from udpp.core import Configuration, Guard, ParseError, Protocol
+from udpp.core import Configuration, Guard, ParseError, Protocol, Trace
 from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
 from udpp.exploration import random_fair_run
 from udpp.formats import (
@@ -84,17 +84,23 @@ def test_machine_roundtrip():
 
 
 def test_machine_parse_errors_carry_line_numbers():
-    with pytest.raises(ParseError) as err:
-        parse_machine("inc z\n")
-    assert err.value.line == 1
-    with pytest.raises(ParseError) as err:
-        parse_machine("inc x\ngoto 9\n")
-    assert err.value.line == 2 and "out of range" in str(err.value)
-    with pytest.raises(ParseError) as err:
-        parse_machine("goto 1\ninc x\n")
-    assert err.value.line == 2 and "past the end" in str(err.value)
-    with pytest.raises(ParseError):
-        parse_machine("")
+    # The line is the instruction's own line, not its index.
+    for text, error in (
+        ("inc z\n", "line 1: expected: inc x|y"),
+        ("inc x\ngoto 9\n", "line 2: target 9 is out of range 1..2"),
+        ("goto 1\ninc x\n", "line 2: execution can run past the end; finish with halt or goto"),
+        ("", "line 1: machine has no instructions"),
+        ("# nothing\n\n", "line 1: machine has no instructions"),
+        ("dec x 3\nhalt\n", "line 1: target 3 is out of range 1..2"),
+        ("# header\n\ninc x\n\n# jump\ngoto 0\n", "line 6: target 0 is out of range 1..2"),
+        (
+            "# header\n\nhalt\n# tail\n\ndec y 1  # falls through\n",
+            "line 6: execution can run past the end; finish with halt or goto",
+        ),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_machine(text)
+        assert str(err.value) == error
 
 
 def relabelled_seesaw(labels):
@@ -164,9 +170,32 @@ def test_trace_parse_resolves_positional_names():
 
 def test_trace_parse_rejects_dangling_fire():
     protocol = seesaw_protocol()
-    text = "agent p 0 1\nagent q 1 1\n\nfire recruit 0 1\n"
-    with pytest.raises(ParseError):
+    text = "agent p 0 1\nagent q 1 1\n\nfire recruit 0 1\n\n# no block follows\n"
+    with pytest.raises(ParseError) as err:
         parse_trace(protocol, text)
+    assert str(err.value) == "line 4: trace ends with a fire line but no configuration"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("fire recruit 0 1\nagent q 0 2\n", "line 1: expected a configuration block before this line"),
+        ("# header\n\nfire recruit 0 1\n", "line 3: expected a configuration block before this line"),
+        (
+            "agent p 0 1\nagent q 1 1\nfire recruit 0 1\nfire bounce 0 0\nagent q 0 2\n",
+            "line 4: expected a configuration block before this line",
+        ),
+    ],
+)
+def test_trace_parse_needs_a_block_before_each_fire(text, error):
+    with pytest.raises(ParseError) as err:
+        parse_trace(seesaw_protocol(), text)
+    assert str(err.value) == error
+
+
+def test_trace_parse_of_no_lines_is_the_empty_trace():
+    for text in ("", "\n", "# only a comment\n\n"):
+        assert parse_trace(seesaw_protocol(), text) == Trace(Configuration(), ())
 
 
 def test_rule_names_unique_even_for_duplicate_labels():
