@@ -132,12 +132,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _verdict_exit(verdict: Verdict) -> int:
-    if verdict in (Verdict.OUT0, Verdict.OUT1):
-        return EXIT_OK
-    if verdict is Verdict.NO_OUTPUT:
-        return EXIT_WITNESS
-    return EXIT_INCONCLUSIVE
+_VERDICT_EXIT = {
+    Verdict.OUT0: EXIT_OK,
+    Verdict.OUT1: EXIT_OK,
+    Verdict.NO_OUTPUT: EXIT_WITNESS,
+    Verdict.UNKNOWN: EXIT_INCONCLUSIVE,
+}
+_SWEEP_EXIT = {
+    VERDICT_BOUNDED_OK: EXIT_OK,
+    VERDICT_WITNESS: EXIT_WITNESS,
+    VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE,
+}
 
 
 def _print_no_output_evidence(protocol: Protocol, config, graph, target) -> None:
@@ -185,14 +190,14 @@ def _cmd_classify(args) -> int:
         if oc.verdict is Verdict.NO_OUTPUT:
             print(f"# certified by a scripted run of {len(trace)} steps into a deadlock")
             print("# with both opinions still present")
-        return _verdict_exit(oc.verdict)
+        return _VERDICT_EXIT[oc.verdict]
     limits = ExplorationLimits(max_nodes=args.max_nodes, max_depth=args.max_depth)
     graph = explore(protocol, config, limits)
     oc = classify_graph(protocol, graph)
     print(oc.describe())
     if oc.verdict is Verdict.NO_OUTPUT:
         _print_no_output_evidence(protocol, config, graph, oc.component)
-    return _verdict_exit(oc.verdict)
+    return _VERDICT_EXIT[oc.verdict]
 
 
 def _same_protocol(a: Protocol, b: Protocol) -> bool:
@@ -211,12 +216,7 @@ def _cmd_sweep(args) -> int:
     report = check_well_specification(protocol, args.max_agents, args.max_colors, limits)
     for line in report.lines():
         print(line)
-    if report.verdict == VERDICT_WITNESS:
-        return EXIT_WITNESS
-    if report.verdict == VERDICT_INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    assert report.verdict == VERDICT_BOUNDED_OK
-    return EXIT_OK
+    return _SWEEP_EXIT[report.verdict]
 
 
 def _build_witness(args, machine):
@@ -254,7 +254,7 @@ def _cmd_replay(args) -> int:
     text += f"# active opinions at the deadlock: {sorted(opinions(protocol, [trace.final]))}\n"
     text += f"# verdict: {oc.describe()}\n"
     _emit(text, args.out)
-    return EXIT_WITNESS if oc.verdict is Verdict.NO_OUTPUT else EXIT_INCONCLUSIVE
+    return _VERDICT_EXIT[oc.verdict]
 
 
 def _cmd_monitors(args) -> int:

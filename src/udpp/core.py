@@ -9,10 +9,10 @@ destroys, or recolors agents.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
 
 StateId = str
 ColorId = int
@@ -246,14 +246,10 @@ def enabled_instances(protocol: Protocol, config: Configuration) -> list[Transit
         if not ds or not es:
             continue
         if rule.guard is Guard.EQ:
-            if p == p2:
-                for d in ds:
-                    if config[(p, d)] >= 2:
-                        found.append(TransitionInstance(rule, d, d))
-            else:
-                for d in ds:
-                    if config[(p2, d)] >= 1:
-                        found.append(TransitionInstance(rule, d, d))
+            need = 2 if p == p2 else 1
+            for d in ds:
+                if config[(p2, d)] >= need:
+                    found.append(TransitionInstance(rule, d, d))
         else:
             for d in ds:
                 for e in es:

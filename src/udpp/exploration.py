@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations_with_replacement, groupby
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .core import (
     Configuration,
@@ -94,24 +94,28 @@ class ExplorationLimits:
 
 @dataclass(frozen=True)
 class ReachGraph:
-    """Forward closure over canonical forms.
+    """Forward closure over canonical forms; the nodes are the keys of edges,
+    in discovery order.
 
-    When truncated is False the node set is closed under firing and deadlocked
-    nodes are exactly those without successors. When truncated is True some
+    Without a truncation reason the node set is closed under firing and
+    deadlocked nodes are exactly those without successors. With one, some
     node went unexpanded and no closure property holds.
     """
 
-    nodes: tuple[CanonicalConfig, ...]
     edges: Mapping[CanonicalConfig, tuple[CanonicalConfig, ...]]
     root: CanonicalConfig
-    truncated: bool
     truncation_reason: str | None = None
 
-    def __contains__(self, node: object) -> bool:
-        return node in self.edges
+    @property
+    def nodes(self) -> tuple[CanonicalConfig, ...]:
+        return tuple(self.edges)
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_reason is not None
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.edges)
 
 
 def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits) -> ReachGraph:
@@ -126,14 +130,13 @@ def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits)
     edges: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] = {}
     reasons: dict[str, str] = {}  # budget -> message, in the order first hit
     for node in order:  # order grows as nodes are found: it is the breadth-first queue
-        if limits.max_depth is not None and depth[node] >= limits.max_depth:
-            if enabled_instances(protocol, node.representative()):
-                reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
-            edges[node] = ()
-            continue
         rep = node.representative()
+        instances = enabled_instances(protocol, rep)
+        if instances and limits.max_depth is not None and depth[node] >= limits.max_depth:
+            reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
+            instances = []
         succs: dict[CanonicalConfig, None] = {}
-        for inst in enabled_instances(protocol, rep):
+        for inst in instances:
             succ = canonicalize(fire(protocol, rep, inst))
             if succ not in depth:
                 if len(depth) >= limits.max_nodes:
@@ -143,62 +146,46 @@ def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits)
                 order.append(succ)
             succs[succ] = None
         edges[node] = tuple(succs)
-    return ReachGraph(
-        nodes=tuple(order),
-        edges=edges,
-        root=root,
-        truncated=bool(reasons),
-        truncation_reason="; ".join(reasons.values()) or None,
-    )
+    return ReachGraph(edges, root, "; ".join(reasons.values()) or None)
 
 
-def _strongly_connected(
-    nodes: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]
-) -> list[list[Hashable]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
+def _strongly_connected(edges: Mapping[Hashable, Iterable[Hashable]]) -> list[list[Hashable]]:
+    """Iterative Tarjan over an adjacency map, starting from its keys in
+    order; components come out in reverse topological order."""
     index: dict[Hashable, int] = {}
     low: dict[Hashable, int] = {}
     on_stack: set[Hashable] = set()
     stack: list[Hashable] = []
     components: list[list[Hashable]] = []
-    counter = 0
-    for start in nodes:
+    for start in edges:
         if start in index:
             continue
-        index[start] = low[start] = counter
-        counter += 1
+        index[start] = low[start] = len(index)
         stack.append(start)
         on_stack.add(start)
-        work: list[tuple[Hashable, Iterable]] = [(start, iter(successors(start)))]
+        work: list[tuple[Hashable, Iterator]] = [(start, iter(edges[start]))]
         while work:
             v, it = work[-1]
-            pushed = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    pushed = True
+                    work.append((w, iter(edges[w])))
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
-            if pushed:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                component: list[Hashable] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:  # every successor of v is done
+                work.pop()
+                if low[v] == index[v]:  # v roots a component: pop it off the stack
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     return components
 
 
@@ -209,9 +196,9 @@ def bottom_sccs(graph: ReachGraph) -> list[frozenset[CanonicalConfig]]:
     graph; truncated input raises :class:`TruncatedGraph`.
     """
     if graph.truncated:
-        raise TruncatedGraph(graph.truncation_reason or "graph is truncated")
+        raise TruncatedGraph(graph.truncation_reason)
     bottoms: list[frozenset[CanonicalConfig]] = []
-    for component in _strongly_connected(graph.nodes, lambda n: graph.edges[n]):
+    for component in _strongly_connected(graph.edges):
         members = frozenset(component)
         if all(w in members for v in component for w in graph.edges[v]):
             bottoms.append(members)
@@ -250,7 +237,7 @@ class OutputClass:
 def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
     """Verdict for a fully explored graph; Unknown when it is truncated."""
     if graph.truncated:
-        return OutputClass(Verdict.UNKNOWN, graph.truncation_reason or "graph is truncated")
+        return OutputClass(Verdict.UNKNOWN, graph.truncation_reason)
     first_with: dict[int, frozenset[CanonicalConfig]] = {}
     for component in bottom_sccs(graph):
         values = opinions(protocol, component)
@@ -375,39 +362,37 @@ def random_fair_run(
     return Trace(start, tuple(steps))
 
 
+def _path_into(
+    graph: ReachGraph, source: CanonicalConfig, targets: frozenset[CanonicalConfig]
+) -> list[CanonicalConfig] | None:
+    """Breadth-first: a shortest node path of at least one edge from source
+    into targets, or None if there is none."""
+    parent: dict[CanonicalConfig, CanonicalConfig | None] = {source: None}
+    queue: deque[CanonicalConfig] = deque([source])
+    while queue:
+        node = queue.popleft()
+        for succ in graph.edges[node]:
+            if succ in targets:
+                path = [succ, node]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            if succ not in parent:
+                parent[succ] = node
+                queue.append(succ)
+    return None
+
+
 def shortest_path(
     graph: ReachGraph, source: CanonicalConfig, targets: frozenset[CanonicalConfig]
 ) -> list[CanonicalConfig] | None:
     """Shortest node path from source into targets, or None if unreachable."""
-    if source in targets:
-        return [source]
-    parent: dict[CanonicalConfig, CanonicalConfig] = {}
-    queue: deque[CanonicalConfig] = deque([source])
-    seen = {source}
-    while queue:
-        node = queue.popleft()
-        for succ in graph.edges[node]:
-            if succ in seen:
-                continue
-            parent[succ] = node
-            if succ in targets:
-                path = [succ]
-                while path[-1] != source:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
-            seen.add(succ)
-            queue.append(succ)
-    return None
+    return [source] if source in targets else _path_into(graph, source, targets)
 
 
 def cycle_through(graph: ReachGraph, node: CanonicalConfig) -> list[CanonicalConfig] | None:
-    """A shortest nonempty cycle node -> ... -> node, or None for deadlocks."""
-    best: list[CanonicalConfig] | None = None
-    for succ in graph.edges[node]:
-        back = shortest_path(graph, succ, frozenset([node]))
-        if back is not None and (best is None or 1 + len(back) < len(best)):
-            best = [node] + back
-    return best
+    """A shortest nonempty cycle node -> ... -> node, or None when there is none."""
+    return _path_into(graph, node, frozenset([node]))
 
 
 def concretize_path(

@@ -108,8 +108,11 @@ def is_instr(main: str) -> bool:
     return main.startswith("i.")
 
 
-# Main-level rule family: (label, (pre, pre'), guard spec, (post, post')).
-_FamilySpec = tuple[str, tuple[str, str], str, tuple[str, str]]
+# The guards a main-level family is lifted with; ANY splits it into an eq and a neq rule.
+EQ, NEQ, ANY = (Guard.EQ,), (Guard.NEQ,), (Guard.EQ, Guard.NEQ)
+
+# Main-level rule family: (label, (pre, pre'), guards, (post, post')).
+_FamilySpec = tuple[str, tuple[str, str], tuple[Guard, ...], tuple[str, str]]
 
 
 def _main_families(machine: CounterMachine, mains: list[str]) -> list[_FamilySpec]:
@@ -117,7 +120,7 @@ def _main_families(machine: CounterMachine, mains: list[str]) -> list[_FamilySpe
     for c in COUNTERS:
         for flag in FLAGS:
             specs.append(
-                (f"CounterColorViolation[{c},{flag}]", (shadow_state(c, flag), c), "neq", (SINK2, SINK2))
+                (f"CounterColorViolation[{c},{flag}]", (shadow_state(c, flag), c), NEQ, (SINK2, SINK2))
             )
     # Two x-shadows can only coexist after a duplicated setup; catching the x
     # pair is enough because a duplicated setup always duplicates x first.
@@ -127,33 +130,33 @@ def _main_families(machine: CounterMachine, mains: list[str]) -> list[_FamilySpe
                 (
                     f"ControlStateViolation[{f1},{f2}]",
                     (shadow_state("x", f1), shadow_state("x", f2)),
-                    "any",
+                    ANY,
                     (SINK2, SINK2),
                 )
             )
     for res in (RES1, RES2):
-        specs.append((f"ConvertToSink1[{res}]", (SINK1, res), "any", (SINK1, SINK1)))
+        specs.append((f"ConvertToSink1[{res}]", (SINK1, res), ANY, (SINK1, SINK1)))
     for q in mains:
-        specs.append((f"ConvertToSink2[{q}]", (SINK2, q), "any", (SINK2, SINK2)))
+        specs.append((f"ConvertToSink2[{q}]", (SINK2, q), ANY, (SINK2, SINK2)))
 
     entry = resolve_index(machine, 1)
-    specs.append(("Setup1", (RES1, RES2), "any", (setup_state("x"), SINK1)))
+    specs.append(("Setup1", (RES1, RES2), ANY, (setup_state("x"), SINK1)))
     specs.append(
-        ("Setup2", (setup_state("x"), RES2), "any", (setup_state("y"), shadow_state("x", FLAG_ZERO)))
+        ("Setup2", (setup_state("x"), RES2), ANY, (setup_state("y"), shadow_state("x", FLAG_ZERO)))
     )
     specs.append(
-        ("Setup3", (setup_state("y"), RES2), "any", (instr_state(entry), shadow_state("y", FLAG_ZERO)))
+        ("Setup3", (setup_state("y"), RES2), ANY, (instr_state(entry), shadow_state("y", FLAG_ZERO)))
     )
 
     for c in COUNTERS:
         specs.append(
-            (f"Increment[{c}]", (shadow_state(c, FLAG_PLUS), RES1), "eq", (shadow_state(c, FLAG_POS), c))
+            (f"Increment[{c}]", (shadow_state(c, FLAG_PLUS), RES1), EQ, (shadow_state(c, FLAG_POS), c))
         )
         specs.append(
-            (f"Decrement[{c}]", (shadow_state(c, FLAG_MINUS), c), "eq", (shadow_state(c, FLAG_ZERO), GARBAGE))
+            (f"Decrement[{c}]", (shadow_state(c, FLAG_MINUS), c), EQ, (shadow_state(c, FLAG_ZERO), GARBAGE))
         )
         specs.append(
-            (f"DetectPositive[{c}]", (shadow_state(c, FLAG_ZERO), c), "eq", (shadow_state(c, FLAG_POS), c))
+            (f"DetectPositive[{c}]", (shadow_state(c, FLAG_ZERO), c), EQ, (shadow_state(c, FLAG_POS), c))
         )
 
     for m, ins in enumerate(machine.instrs, 1):
@@ -164,7 +167,7 @@ def _main_families(machine: CounterMachine, mains: list[str]) -> list[_FamilySpe
                     (
                         f"Inc[{m},{flag}]",
                         (instr_state(m), shadow_state(ins.counter, flag)),
-                        "any",
+                        ANY,
                         (instr_state(nxt), shadow_state(ins.counter, FLAG_PLUS)),
                     )
                 )
@@ -176,7 +179,7 @@ def _main_families(machine: CounterMachine, mains: list[str]) -> list[_FamilySpe
                 (
                     f"Dec[{m}]",
                     (instr_state(m), shadow_state(c, FLAG_POS)),
-                    "any",
+                    ANY,
                     (instr_state(nxt), shadow_state(c, FLAG_MINUS)),
                 )
             )
@@ -184,7 +187,7 @@ def _main_families(machine: CounterMachine, mains: list[str]) -> list[_FamilySpe
                 (
                     f"ZeroTest1[{m}]",
                     (instr_state(m), shadow_state(c, FLAG_ZERO)),
-                    "any",
+                    ANY,
                     (intermediate_state(m), GARBAGE),
                 )
             )
@@ -192,13 +195,13 @@ def _main_families(machine: CounterMachine, mains: list[str]) -> list[_FamilySpe
                 (
                     f"ZeroTest2[{m}]",
                     (intermediate_state(m), RES2),
-                    "any",
+                    ANY,
                     (instr_state(target), shadow_state(c, FLAG_ZERO)),
                 )
             )
         elif isinstance(ins, Halt):
             specs.append(
-                (f"CauseDeadlock[{m}]", (instr_state(m), SINK1), "any", (instr_state(m), GARBAGE))
+                (f"CauseDeadlock[{m}]", (instr_state(m), SINK1), ANY, (instr_state(m), GARBAGE))
             )
         # goto instructions compile to nothing; next_instr chases them away
     return specs
@@ -227,13 +230,7 @@ def compile_machine(machine: CounterMachine) -> Protocol:
                     label=f"InputViolation[{p},{p2}]",
                 )
             )
-    for label, (pm, pm2), guard_spec, (qm, qm2) in _main_families(machine, mains):
-        if guard_spec == "any":
-            guards: tuple[Guard, ...] = (Guard.EQ, Guard.NEQ)
-        elif guard_spec == "eq":
-            guards = (Guard.EQ,)
-        else:
-            guards = (Guard.NEQ,)
+    for label, (pm, pm2), guards, (qm, qm2) in _main_families(machine, mains):
         for guard in guards:
             for t1 in TAGS:
                 for t2 in TAGS:
@@ -310,7 +307,9 @@ class _Replayer:
     def colors_in(self, state: StateId) -> list[int]:
         return [color for (q, color), _ in self.current.items() if q == state]
 
-    def fire_label(self, label: str, d: int, e: int) -> None:
+    def fire_family(self, family: str, tags: tuple[str, str], d: int, e: int) -> None:
+        guard = "eq" if d == e else "neq"
+        label = f"{family}:{guard}@{tags[0]}{tags[1]}"
         rule = self.by_label.get(label)
         if rule is None:
             raise StuckReplay(f"compiled protocol has no rule labelled '{label}'")
@@ -321,10 +320,6 @@ class _Replayer:
             raise StuckReplay(f"scripted step '{label}' with colors ({d}, {e}): {exc}") from exc
         self.steps.append((instance, after))
         self.current = after
-
-    def fire_family(self, family: str, tags: tuple[str, str], d: int, e: int) -> None:
-        guard = "eq" if d == e else "neq"
-        self.fire_label(f"{family}:{guard}@{tags[0]}{tags[1]}", d, e)
 
     def draw_fresh(self) -> int:
         supply = self.colors_in(tagged(RES2, "R2"))

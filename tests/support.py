@@ -12,15 +12,18 @@ from collections import deque
 from itertools import combinations_with_replacement
 
 from udpp.core import (
+    ColorId,
     Configuration,
     Guard,
     Protocol,
     Rule,
+    StateId,
+    TransitionInstance,
     enabled_instances,
     fire,
 )
 from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
-from udpp.exploration import CanonicalConfig, canonicalize
+from udpp.exploration import CanonicalConfig, ReachGraph, canonicalize
 
 
 def seesaw_protocol() -> Protocol:
@@ -172,3 +175,71 @@ def dedup_initial_configs(protocol: Protocol, n: int, k: int) -> list[CanonicalC
             counts[kind] = counts.get(kind, 0) + 1
         seen.setdefault(canonicalize(Configuration(counts)), None)
     return sorted(seen, key=lambda c: c.signature)
+
+
+def full_scan_enabled_instances(
+    protocol: Protocol, config: Configuration
+) -> list[TransitionInstance]:
+    """Every enabled instance by scanning every rule, with one loop per guard
+    case, ordered by rule position, then d, then e."""
+    colors_at: dict[StateId, list[ColorId]] = {}
+    for (state, color), _count in config.items():
+        colors_at.setdefault(state, []).append(color)  # sorted, items are sorted
+
+    found: list[TransitionInstance] = []
+    for rule in protocol.rules:
+        p, p2 = rule.pre
+        ds = colors_at.get(p)
+        es = colors_at.get(p2)
+        if not ds or not es:
+            continue
+        if rule.guard is Guard.EQ:
+            if p == p2:
+                for d in ds:
+                    if config[(p, d)] >= 2:
+                        found.append(TransitionInstance(rule, d, d))
+            else:
+                for d in ds:
+                    if config[(p2, d)] >= 1:
+                        found.append(TransitionInstance(rule, d, d))
+        else:
+            for d in ds:
+                for e in es:
+                    if d != e:
+                        found.append(TransitionInstance(rule, d, e))
+    return found
+
+
+def bfs_shortest_path(graph: ReachGraph, source, targets: frozenset):
+    """Shortest node path from source into targets, or None if unreachable;
+    [source] when source is itself a target."""
+    if source in targets:
+        return [source]
+    parent: dict = {}
+    queue = deque([source])
+    seen = {source}
+    while queue:
+        node = queue.popleft()
+        for succ in graph.edges[node]:
+            if succ in seen:
+                continue
+            parent[succ] = node
+            if succ in targets:
+                path = [succ]
+                while path[-1] != source:
+                    path.append(parent[path[-1]])
+                return list(reversed(path))
+            seen.add(succ)
+            queue.append(succ)
+    return None
+
+
+def per_successor_cycle(graph: ReachGraph, node):
+    """A shortest nonempty cycle node -> ... -> node, found by one search back
+    to node from each successor in edge order; the first shortest wins."""
+    best = None
+    for succ in graph.edges[node]:
+        back = bfs_shortest_path(graph, succ, frozenset([node]))
+        if back is not None and (best is None or 1 + len(back) < len(best)):
+            best = [node] + back
+    return best

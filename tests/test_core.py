@@ -5,6 +5,7 @@ import pytest
 
 from support import (
     apply_color_map,
+    full_scan_enabled_instances,
     random_color_bijection,
     random_config,
     random_protocol,
@@ -108,6 +109,20 @@ def test_enabled_instances_ordering_is_rule_then_colors():
     got = [(inst.rule.label, inst.d, inst.e) for inst in enabled_instances(protocol, config)]
     neq_pairs = [(d, e) for d in (0, 1, 2) for e in (0, 1, 2) if d != e]
     assert got == [("first", d, e) for d, e in neq_pairs] + [("second", 0, 0)]
+
+
+def test_enabled_instances_match_the_full_scan_oracle():
+    rng = random.Random(43)
+    found = 0
+    for _ in range(2000):
+        protocol = random_protocol(rng, max_states=3, max_rules=6)
+        config = random_config(rng, protocol.states, max_agents=6, max_colors=3)
+        got = enabled_instances(protocol, config)
+        want = full_scan_enabled_instances(protocol, config)
+        # rule identity, not rule equality: equal rules at two positions must keep their order
+        assert [(id(i.rule), i.d, i.e) for i in got] == [(id(i.rule), i.d, i.e) for i in want]
+        found += len(got)
+    assert found >= 5000
 
 
 def test_self_pair_needs_two_agents():

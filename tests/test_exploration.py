@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from pathlib import Path
@@ -6,8 +7,10 @@ import pytest
 
 from support import (
     apply_color_map,
+    bfs_shortest_path,
     brute_force_bottom_components,
     dedup_initial_configs,
+    per_successor_cycle,
     random_color_bijection,
     random_config,
     random_protocol,
@@ -103,6 +106,8 @@ def test_explore_reachable_set_bounded_by_assignments():
 def test_explore_node_budget_truncates(seesaw, seesaw_runs):
     graph = explore(seesaw, seesaw_runs[0], ExplorationLimits(max_nodes=1))
     assert graph.truncated and "node budget" in graph.truncation_reason
+    assert graph.nodes == tuple(graph.edges) and len(graph) == 1
+    assert graph.truncated == (graph.truncation_reason is not None)
     with pytest.raises(TruncatedGraph):
         bottom_sccs(graph)
 
@@ -110,11 +115,28 @@ def test_explore_node_budget_truncates(seesaw, seesaw_runs):
 def test_explore_exact_budget_is_not_truncated(seesaw, seesaw_runs):
     graph = explore(seesaw, seesaw_runs[0], ExplorationLimits(max_nodes=3))
     assert not graph.truncated and len(graph) == 3
+    assert graph.nodes == tuple(graph.edges)
+    assert graph.truncated == (graph.truncation_reason is not None)
 
 
 def test_explore_depth_budget_truncates(seesaw, seesaw_runs):
     graph = explore(seesaw, seesaw_runs[0], ExplorationLimits(max_nodes=100, max_depth=1))
     assert graph.truncated and "depth budget" in graph.truncation_reason
+    assert graph.nodes == tuple(graph.edges) and len(graph) == 2
+    assert graph.truncated == (graph.truncation_reason is not None)
+
+
+def test_explore_depth_budget_spares_deadlocks():
+    # a -> b in one step, then nothing is enabled: a depth budget of one
+    # leaves nothing unexpanded, a budget of zero cuts the only edge
+    rule = Rule(("a", "a"), Guard.EQ, ("b", "b"))
+    protocol = Protocol.make(("a", "b"), (rule,), ("a",), {"a": 0, "b": 1})
+    start = Configuration({("a", 0): 2})
+    graph = explore(protocol, start, ExplorationLimits(max_depth=1))
+    assert not graph.truncated and len(graph) == 2
+    graph = explore(protocol, start, ExplorationLimits(max_depth=0))
+    assert graph.truncation_reason == "depth budget exceeded (max_depth=0)"
+    assert graph.edges == {graph.root: ()}
 
 
 def test_limits_validation():
@@ -135,9 +157,69 @@ def test_bottom_sccs_deadlock_is_singleton():
 
 
 def _synthetic_graph(edges: dict) -> ReachGraph:
-    nodes = tuple(edges)
-    return ReachGraph(nodes=nodes, edges={k: tuple(v) for k, v in edges.items()},
-                      root=nodes[0], truncated=False)
+    return ReachGraph(edges={k: tuple(v) for k, v in edges.items()}, root=next(iter(edges)))
+
+
+def _random_digraph(rng: random.Random, max_nodes: int) -> dict[int, list[int]]:
+    """Up to three distinct successors per node, in random order."""
+    n = rng.randint(1, max_nodes)
+    return {
+        i: list(dict.fromkeys(rng.randrange(n) for _ in range(rng.randint(0, 3))))
+        for i in range(n)
+    }
+
+
+def _explored_graphs(rng: random.Random, count: int) -> list[ReachGraph]:
+    """Graphs of random protocols with at least four nodes."""
+    graphs: list[ReachGraph] = []
+    while len(graphs) < count:
+        protocol = random_protocol(rng, max_states=3, max_rules=6)
+        start = random_config(rng, protocol.states, max_agents=6, min_agents=3)
+        graph = explore(protocol, start, LIMITS)
+        if len(graph) >= 4:
+            graphs.append(graph)
+    return graphs
+
+
+def _bottom_order_digest(graphs: list[ReachGraph]) -> str:
+    """SHA-256 over each graph's bottom components, in output order, each
+    given as the sorted positions of its members in graph.nodes."""
+    digest = hashlib.sha256()
+    for graph in graphs:
+        position = {node: i for i, node in enumerate(graph.nodes)}
+        components = [sorted(position[v] for v in c) for c in bottom_sccs(graph)]
+        digest.update(repr(components).encode())
+    return digest.hexdigest()
+
+
+# Recorded with the Tarjan that took a successor callable, before it read the
+# adjacency map. classify_graph reports the first mixed bottom component, so
+# this order decides which evidence the CLI prints.
+BOTTOM_ORDER_SHA256 = "2e629fc20131f0746ab5f6dbede1ca4d54d2e49582c5d5f4658978c0bb97a826"
+
+
+def test_bottom_sccs_order_is_pinned():
+    rng = random.Random(67)
+    graphs = [_synthetic_graph(_random_digraph(rng, 25)) for _ in range(150)]
+    graphs += _explored_graphs(random.Random(71), 50)
+    assert sum(len(bottom_sccs(graph)) > 1 for graph in graphs) >= 100
+    assert _bottom_order_digest(graphs) == BOTTOM_ORDER_SHA256
+
+
+def test_path_helpers_match_the_per_successor_oracles():
+    rng = random.Random(101)
+    graphs = [_synthetic_graph(_random_digraph(rng, 25)) for _ in range(1000)]
+    graphs += _explored_graphs(random.Random(103), 60)
+    cycles = 0
+    for graph in graphs:
+        nodes = graph.nodes
+        for node in nodes:
+            loop = cycle_through(graph, node)
+            assert loop == per_successor_cycle(graph, node)
+            cycles += loop is not None
+            targets = frozenset(rng.sample(nodes, rng.randint(1, min(3, len(nodes)))))
+            assert shortest_path(graph, node, targets) == bfs_shortest_path(graph, node, targets)
+    assert cycles >= 5000
 
 
 def test_bottom_sccs_on_random_dags_are_sinks():
