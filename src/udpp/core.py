@@ -159,6 +159,15 @@ class Configuration:
     def __repr__(self) -> str:
         return f"Configuration({self._counts!r})"
 
+    @classmethod
+    def _trusted(cls, counts: dict[CountKey, int]) -> "Configuration":
+        """Wrap counts that already hold only positive counts under
+        (str, int) keys in sorted order, without copying or checking them."""
+        config = cls.__new__(cls)
+        config._counts = counts
+        config._hash = None
+        return config
+
 
 def singleton(state: StateId, color: ColorId) -> Configuration:
     """The configuration holding exactly one agent, at (state, color)."""
@@ -196,6 +205,15 @@ class Protocol:
     def rule_set(self) -> frozenset[Rule]:
         return frozenset(self.rules)
 
+    @cached_property
+    def rules_by_pre(self) -> dict[StateId, tuple[tuple[int, Rule], ...]]:
+        """Each rule with its position in rules, grouped by its first
+        pre-state; positions ascend within a group."""
+        index: dict[StateId, list[tuple[int, Rule]]] = {}
+        for position, rule in enumerate(self.rules):
+            index.setdefault(rule.pre[0], []).append((position, rule))
+        return {state: tuple(group) for state, group in index.items()}
+
 
 def validate_protocol(protocol: Protocol) -> list[str]:
     """Structural diagnostics; empty exactly when the protocol is well-formed."""
@@ -228,28 +246,77 @@ def is_initial(protocol: Protocol, config: Configuration) -> bool:
     return config.active_states() <= protocol.initial
 
 
+# (position, rule, n, ds, es): see _candidates
+_Candidate = tuple[int, Rule, int, list[ColorId], list[ColorId]]
+
+
+def _candidates(protocol: Protocol, config: Configuration) -> list[_Candidate]:
+    """The rules with both pre-states active, in position order, each as
+    (position, rule, n, ds, es): n is its number of enabled instances, and
+    ds and es are colour lists that give those instances.
+
+    An EQ rule has one instance (d, d) per d in ds, which holds the colours
+    with an agent at pre[0] and enough agents at pre[1] (two when both roles
+    are the same (state, color) pair); es is ds. A NEQ rule has one instance
+    (d, e) per d in ds and e in es with d != e, where ds and es are the
+    colours at pre[0] and at pre[1]. All colour lists ascend.
+    """
+    counts = config._counts
+    colors_at: dict[StateId, list[ColorId]] = {}
+    for state, color in counts:
+        colors_at.setdefault(state, []).append(color)  # sorted, keys are sorted
+
+    by_pre = protocol.rules_by_pre
+    found: list[_Candidate] = []
+    for p, ds in colors_at.items():
+        for position, rule in by_pre.get(p, ()):
+            p2 = rule.pre[1]
+            es = colors_at.get(p2)
+            if es is None:
+                continue
+            if rule.guard is Guard.EQ:
+                need = 2 if p == p2 else 1
+                eq = [d for d in ds if counts.get((p2, d), 0) >= need]
+                found.append((position, rule, len(eq), eq, eq))
+            else:
+                pairs = len(ds) * len(es)
+                for d in ds:  # the pairs (d, d) fail the guard
+                    if (p2, d) in counts:
+                        pairs -= 1
+                found.append((position, rule, pairs, ds, es))
+    found.sort()  # positions are distinct, so only they are compared
+    return found
+
+
+def _instance_at(candidates: list[_Candidate], index: int) -> TransitionInstance:
+    """The instance at index, counted from 0, in the order of
+    :func:`enabled_instances`, built from the output of :func:`_candidates`
+    without building the others."""
+    for _, rule, n, ds, es in candidates:
+        if index >= n:
+            index -= n
+        elif rule.guard is Guard.EQ:
+            return TransitionInstance(rule, ds[index], ds[index])
+        else:
+            for d in ds:
+                row = [e for e in es if e != d]
+                if index < len(row):
+                    return TransitionInstance(rule, d, row[index])
+                index -= len(row)
+    raise IndexError("instance index out of range")
+
+
 def enabled_instances(protocol: Protocol, config: Configuration) -> list[TransitionInstance]:
     """All enabled instances, ordered by rule position, then d, then e.
 
     A rule with both roles on the same (state, color) pair needs two agents
     there, so a count of one does not enable it.
     """
-    colors_at: dict[StateId, list[ColorId]] = {}
-    for (state, color), _count in config.items():
-        colors_at.setdefault(state, []).append(color)  # sorted, items are sorted
-
     found: list[TransitionInstance] = []
-    for rule in protocol.rules:
-        p, p2 = rule.pre
-        ds = colors_at.get(p)
-        es = colors_at.get(p2)
-        if not ds or not es:
-            continue
+    for _, rule, _, ds, es in _candidates(protocol, config):
         if rule.guard is Guard.EQ:
-            need = 2 if p == p2 else 1
             for d in ds:
-                if config[(p2, d)] >= need:
-                    found.append(TransitionInstance(rule, d, d))
+                found.append(TransitionInstance(rule, d, d))
         else:
             for d in ds:
                 for e in es:
@@ -261,19 +328,37 @@ def enabled_instances(protocol: Protocol, config: Configuration) -> list[Transit
 def _apply(config: Configuration, instance: TransitionInstance) -> Configuration | None:
     """The configuration after firing instance: both agents change state,
     neither changes color. None when the colors fail the guard or an agent is
-    missing. Whether the rule belongs to a protocol is the caller's concern."""
+    missing. Whether the rule belongs to a protocol is the caller's concern.
+
+    The successor is built from the parent's counts, which are already
+    positive and sorted: keys that reach zero are dropped, and the keys are
+    sorted again only when one is new.
+    """
     rule = instance.rule
-    if not rule.guard.holds(instance.d, instance.e):
+    d, e = instance.d, instance.e
+    if not rule.guard.holds(d, e):
         return None
-    counts = dict(config.items())
-    for key in ((rule.pre[0], instance.d), (rule.pre[1], instance.e)):
+    counts = dict(config._counts)
+    taken = ((rule.pre[0], d), (rule.pre[1], e))
+    for key in taken:
         left = counts.get(key, 0)
         if left < 1:
             return None
         counts[key] = left - 1
-    for key in ((rule.post[0], instance.d), (rule.post[1], instance.e)):
-        counts[key] = counts.get(key, 0) + 1
-    return Configuration(counts)
+    # both colours equal existing int keys now, so int() only normalises
+    # colours such as True to the key type the constructor would give
+    grown = False
+    for state, color in ((rule.post[0], d), (rule.post[1], e)):
+        key = (state, int(color))
+        if key in counts:
+            counts[key] += 1
+        else:
+            counts[key] = 1
+            grown = True
+    for key in taken:
+        if counts.get(key) == 0:
+            del counts[key]
+    return Configuration._trusted(dict(sorted(counts.items())) if grown else counts)
 
 
 def fire(protocol: Protocol, config: Configuration, instance: TransitionInstance) -> Configuration:

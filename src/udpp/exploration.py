@@ -28,6 +28,8 @@ from .core import (
     StateId,
     Trace,
     UdppError,
+    _candidates,
+    _instance_at,
     enabled_instances,
     fire,
 )
@@ -346,17 +348,20 @@ def random_fair_run(
 ) -> Trace:
     """Uniform-random scheduling with a seeded generator.
 
-    On a finite reachable set this sampling is fair with probability one.
-    Stops at a deadlock or after max_steps; fully reproducible from the seed.
+    Each step draws one index uniformly over the enabled instances in the
+    order of :func:`enabled_instances` and builds only that instance. On a
+    finite reachable set this sampling is fair with probability one. Stops at
+    a deadlock or after max_steps; fully reproducible from the seed.
     """
     rng = random.Random(seed)
     steps: list[tuple] = []
     current = start
     for _ in range(max_steps):
-        options = enabled_instances(protocol, current)
-        if not options:
+        candidates = _candidates(protocol, current)
+        total = sum(n for _, _, n, _, _ in candidates)
+        if not total:
             break
-        instance = options[rng.randrange(len(options))]
+        instance = _instance_at(candidates, rng.randrange(total))
         current = fire(protocol, current, instance)
         steps.append((instance, current))
     return Trace(start, tuple(steps))

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import cache
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 from udpp.core import (
     ColorId,
@@ -18,12 +20,16 @@ from udpp.core import (
     Protocol,
     Rule,
     StateId,
+    Trace,
     TransitionInstance,
-    enabled_instances,
     fire,
 )
 from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
 from udpp.exploration import CanonicalConfig, ReachGraph, canonicalize
+from udpp.formats import parse_machine
+from udpp.reduction import build_witness, compile_machine
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def seesaw_protocol() -> Protocol:
@@ -61,6 +67,14 @@ def random_protocol(rng: random.Random, max_states: int = 4, max_rules: int = 3)
     initial = rng.sample(states, rng.randint(1, n))
     output = {q: rng.randint(0, 1) for q in states}
     return Protocol.make(states, rules, initial, output)
+
+
+@cache
+def compiled_witness(sample: str, k: int) -> tuple[Protocol, Configuration]:
+    """The protocol compiled from the counter machine in samples/<sample>
+    and that machine's witness start for k."""
+    machine = parse_machine((SAMPLES / sample).read_text(encoding="utf-8"))
+    return compile_machine(machine), build_witness(machine, k)
 
 
 def random_config(
@@ -142,7 +156,7 @@ def raw_output_verdict(protocol: Protocol, start: Configuration, node_cap: int =
         if config in successors:
             continue
         nexts = []
-        for instance in enabled_instances(protocol, config):
+        for instance in full_scan_enabled_instances(protocol, config):
             nexts.append(fire(protocol, config, instance))
         successors[config] = nexts
         for nxt in nexts:
@@ -208,6 +222,22 @@ def full_scan_enabled_instances(
                     if d != e:
                         found.append(TransitionInstance(rule, d, e))
     return found
+
+
+def list_pick_fair_run(protocol: Protocol, start: Configuration, seed: int, max_steps: int) -> Trace:
+    """The seeded scheduler that lists every enabled instance with the full
+    scan, indexes the list with one uniform draw, then fires the pick."""
+    rng = random.Random(seed)
+    steps: list[tuple] = []
+    current = start
+    for _ in range(max_steps):
+        options = full_scan_enabled_instances(protocol, current)
+        if not options:
+            break
+        instance = options[rng.randrange(len(options))]
+        current = fire(protocol, current, instance)
+        steps.append((instance, current))
+    return Trace(start, tuple(steps))
 
 
 def bfs_shortest_path(graph: ReachGraph, source, targets: frozenset):

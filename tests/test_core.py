@@ -5,6 +5,7 @@ import pytest
 
 from support import (
     apply_color_map,
+    compiled_witness,
     full_scan_enabled_instances,
     random_color_bijection,
     random_config,
@@ -24,6 +25,7 @@ from udpp.core import (
     singleton,
     validate_protocol,
 )
+from udpp.exploration import random_fair_run
 
 RED, BLUE = 0, 1
 
@@ -111,18 +113,36 @@ def test_enabled_instances_ordering_is_rule_then_colors():
     assert got == [("first", d, e) for d, e in neq_pairs] + [("second", 0, 0)]
 
 
+def _witness_run_configs(sample, k, seeds, steps):
+    """The compiled protocol of a sample machine and every configuration of
+    seeded random runs from its witness."""
+    protocol, witness = compiled_witness(sample, k)
+    configs = [
+        config
+        for seed in seeds
+        for config in random_fair_run(protocol, witness, seed, steps).configurations()
+    ]
+    return protocol, configs
+
+
 def test_enabled_instances_match_the_full_scan_oracle():
     rng = random.Random(43)
-    found = 0
+    cases = []
     for _ in range(2000):
         protocol = random_protocol(rng, max_states=3, max_rules=6)
-        config = random_config(rng, protocol.states, max_agents=6, max_colors=3)
+        cases.append((protocol, random_config(rng, protocol.states, max_agents=6, max_colors=3)))
+    for sample, k, rules in (("count4.cm", 4, 877), ("halt.cm", 2, 654)):
+        protocol, configs = _witness_run_configs(sample, k, range(3), 100)
+        assert len(protocol.rules) == rules
+        cases.extend((protocol, config) for config in configs)
+    found = 0
+    for protocol, config in cases:
         got = enabled_instances(protocol, config)
         want = full_scan_enabled_instances(protocol, config)
         # rule identity, not rule equality: equal rules at two positions must keep their order
         assert [(id(i.rule), i.d, i.e) for i in got] == [(id(i.rule), i.d, i.e) for i in want]
         found += len(got)
-    assert found >= 5000
+    assert found >= 40_000
 
 
 def test_self_pair_needs_two_agents():
@@ -190,6 +210,45 @@ def test_fire_deterministic():
     rng = random.Random(5)
     for protocol, config, instance in _random_fires(rng, 50):
         assert fire(protocol, config, instance) == fire(protocol, config, instance)
+
+
+def _assert_as_if_checked(config):
+    """config equals the checking constructor's result, item order and
+    hash included, and holds only positive counts under (str, int) keys."""
+    checked = Configuration(dict(config.items()))
+    assert list(config.items()) == list(checked.items())
+    assert config == checked and hash(config) == hash(checked)
+    for (state, color), count in config.items():
+        assert type(state) is str and type(color) is int and count > 0
+
+
+def test_fire_builds_what_the_checking_constructor_builds(seesaw, seesaw_runs):
+    rng = random.Random(47)
+    for protocol, config, instance in _random_fires(rng, 2000):
+        _assert_as_if_checked(fire(protocol, config, instance))
+    for sample, k in (("count4.cm", 4), ("halt.cm", 2)):
+        _, configs = _witness_run_configs(sample, k, range(3), 100)
+        for config in configs:
+            _assert_as_if_checked(config)
+
+    c0, c1, c2 = seesaw_runs
+    recruit, bounce = seesaw.rules
+    # (q, RED) is new and sorts between (p, RED) and (q, BLUE)
+    middle = fire(seesaw, c0, TransitionInstance(recruit, RED, BLUE))
+    assert list(middle.items()) == [(("p", RED), 1), (("q", RED), 1), (("q", BLUE), 1)]
+    _assert_as_if_checked(middle)
+    # the last agent leaves (p, RED)
+    emptied = fire(seesaw, c1, TransitionInstance(recruit, RED, BLUE))
+    assert emptied == c2 and emptied[("p", RED)] == 0
+    _assert_as_if_checked(emptied)
+    # bool colours compare equal to 1 and 0; new keys still get int colours
+    for config, instance in (
+        (Configuration({("p", 1): 1, ("q", 0): 1}), TransitionInstance(recruit, True, False)),
+        (Configuration({("q", 1): 2}), TransitionInstance(bounce, True, True)),
+    ):
+        after = fire(seesaw, config, instance)
+        _assert_as_if_checked(after)
+        assert after.total() == config.total()
 
 
 def test_color_permutation_equivariance():

@@ -9,7 +9,9 @@ from support import (
     apply_color_map,
     bfs_shortest_path,
     brute_force_bottom_components,
+    compiled_witness,
     dedup_initial_configs,
+    list_pick_fair_run,
     per_successor_cycle,
     random_color_bijection,
     random_config,
@@ -36,7 +38,7 @@ from udpp.exploration import (
     random_fair_run,
     shortest_path,
 )
-from udpp.formats import parse_machine
+from udpp.formats import format_trace, parse_machine
 from udpp.reduction import compile_machine
 
 LIMITS = ExplorationLimits(max_nodes=10_000)
@@ -457,6 +459,63 @@ def test_random_run_reproducible(seesaw, seesaw_runs):
     a = random_fair_run(seesaw, seesaw_runs[0], seed=42, max_steps=100)
     b = random_fair_run(seesaw, seesaw_runs[0], seed=42, max_steps=100)
     assert a == b
+
+
+def _picks(trace):
+    """Each step as (rule identity, d, e, configuration): equal rules at two
+    positions stay apart."""
+    return [(id(instance.rule), instance.d, instance.e, config) for instance, config in trace.steps]
+
+
+def test_lazy_pick_matches_the_list_and_index_scheduler():
+    rng = random.Random(131)
+    fired_duplicate = fired_self_eq = fired_neq = 0
+    for seed in range(1000):
+        protocol = random_protocol(rng, max_states=3, max_rules=6)
+        start = random_config(rng, protocol.states, max_agents=6, max_colors=3)
+        lazy = random_fair_run(protocol, start, seed, 30)
+        assert lazy.initial == start
+        assert _picks(lazy) == _picks(list_pick_fair_run(protocol, start, seed, 30))
+        rules = {instance.rule for instance, _ in lazy.steps}
+        fired_duplicate += any(protocol.rules.count(rule) > 1 for rule in rules)
+        fired_self_eq += any(r.guard is Guard.EQ and r.pre[0] == r.pre[1] for r in rules)
+        fired_neq += any(r.guard is Guard.NEQ for r in rules)
+    assert min(fired_duplicate, fired_self_eq, fired_neq) >= 100
+
+
+# SHA-256 of format_trace for seeds 0-19 of the compiled count4 witness (k=4),
+# 150 steps, recorded from the list-and-index scheduler
+COUNT4_RUN_SHA256 = (
+    "8396d025e229480ab73dfb6fd43726771141e955d7d36b30b52b3adcbf518237",
+    "fd28873a10b7421babf4974241c7c71d07382fb2e9b28164412b69e3da3a87df",
+    "305c69d04e6ef57ff6bea8962706e18750eea7b09a7bf5e67a3e36f9b67e3e2a",
+    "0499ddd158dec9c628e532dc652dcc5f9a4791612dc072ee47937d4d416596d3",
+    "ccb993fc9598bf3354f5b5fe57abd9e051f93fb044afd65fa31f0919f09a45c5",
+    "c4acd0ddb1f88426edf29fccc9191679728748c41b46ad59348ab17822e3dd61",
+    "625c97a8d822919ccb02dd1436bcd6d1587ae71c4915b8965a08b161e102ad11",
+    "ffe0b8a71ade6340b0b2a3d02bc2ba3b1de258c47517867ba8764cf361508718",
+    "6118858e4a371a6b618219e55142bedfdb02cd79507db2bdaf347f6d628d2c01",
+    "e480ef1c10971853a2cd765cbc764f897c488a19bfe04e6f5bf5ffb4dfddbb7e",
+    "8801acfc80db2e9eff34c75ff7066c5102e096a60c3484462276d6cdbf9f87c8",
+    "97b6bedb19fa21e7a89596487c54398da2414deebea771363e8befd1b22ef22c",
+    "55ed131fbabdda0033339ee5bb4846404b4d3f08bf032bb7422443bedfaeddf8",
+    "5135014e0ad8ea2d26c6e1dda37a0155fc6793ec4e9c38fadbe8dd0ae05b572e",
+    "4d163c16a9e914536d624a25bbfef5ab84e15d04a76e9dd46e6aa499d7224aef",
+    "3c7143d7e58c5d26f96d3c845d51a92bd33447b6073e42f8d1f801a3a3476823",
+    "0ce1f6102c9530c5634f070f6e51e6b38a4fe5f1599bc058b153621c8f846817",
+    "e1d60428e6c09aa2cf313d40fcc33dd626324efa06f60d3bdff821aa8b346b8a",
+    "6f1c40bcdec2e030cbd2aa539aefa3ae156d0e3c0f5f3d1cd51c3d0f5cc27a78",
+    "73aea469010bf1d19c64893d6e91267e3e8475fb2123c6e7fe4d2a0a8ab1033d",
+)
+
+
+def test_lazy_pick_on_the_count4_witness_is_pinned():
+    protocol, witness = compiled_witness("count4.cm", 4)
+    for seed, digest in enumerate(COUNT4_RUN_SHA256):
+        trace = random_fair_run(protocol, witness, seed, 150)
+        assert _picks(trace) == _picks(list_pick_fair_run(protocol, witness, seed, 150))
+        text = format_trace(protocol, trace)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, seed
 
 
 def test_long_run_tail_settles_in_one_bottom_component(seesaw, seesaw_runs):
