@@ -24,7 +24,9 @@ from itertools import combinations_with_replacement, groupby
 
 from .core import (
     Configuration,
+    Guard,
     Protocol,
+    Rule,
     StateId,
     Trace,
     UdppError,
@@ -34,7 +36,10 @@ from .core import (
     fire,
 )
 
-Signature = tuple[tuple[tuple[StateId, int], ...], ...]
+Column = tuple[tuple[StateId, int], ...]
+Signature = tuple[Column, ...]
+# (column, states left, states entered) -> the column after those moves
+_Moves = dict[tuple[Column, tuple[StateId, ...], tuple[StateId, ...]], Column]
 
 
 class TruncatedGraph(UdppError):
@@ -123,32 +128,135 @@ class ReachGraph:
 def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits) -> ReachGraph:
     """Breadth-first closure of canonical forms under all enabled instances.
 
+    Successors come from :func:`_successors`, which steps signatures
+    directly; each node's successors are in the order in which firing the
+    enabled instances of its representative first reaches them.
+
     Hitting a budget flags the graph as truncated instead of raising; the
     partial graph still records every edge between discovered, expanded nodes.
     """
     root = canonicalize(start)
-    depth: dict[CanonicalConfig, int] = {root: 0}
+    found: dict[Signature, CanonicalConfig] = {root.signature: root}
     order: list[CanonicalConfig] = [root]
+    depths: list[int] = [0]  # depths[i] is the depth of order[i]
     edges: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] = {}
     reasons: dict[str, str] = {}  # budget -> message, in the order first hit
-    for node in order:  # order grows as nodes are found: it is the breadth-first queue
-        rep = node.representative()
-        instances = enabled_instances(protocol, rep)
-        if instances and limits.max_depth is not None and depth[node] >= limits.max_depth:
+    moved: _Moves = {}
+    rules_for: dict[frozenset[StateId], list[Rule]] = {}
+    for node, depth in zip(order, depths):  # both grow as nodes are found: the breadth-first queue
+        signatures = _successors(protocol, node.signature, moved, rules_for)
+        if signatures and limits.max_depth is not None and depth >= limits.max_depth:
             reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
-            instances = []
-        succs: dict[CanonicalConfig, None] = {}
-        for inst in instances:
-            succ = canonicalize(fire(protocol, rep, inst))
-            if succ not in depth:
-                if len(depth) >= limits.max_nodes:
+            signatures = ()
+        succs: list[CanonicalConfig] = []
+        for signature in signatures:
+            succ = found.get(signature)
+            if succ is None:
+                if len(found) >= limits.max_nodes:
                     reasons.setdefault("node", f"node budget exceeded (max_nodes={limits.max_nodes})")
                     continue
-                depth[succ] = depth[node] + 1
+                succ = found[signature] = CanonicalConfig(signature)
                 order.append(succ)
-            succs[succ] = None
+                depths.append(depth + 1)
+            succs.append(succ)
         edges[node] = tuple(succs)
     return ReachGraph(edges, root, "; ".join(reasons.values()) or None)
+
+
+def _successors(
+    protocol: Protocol,
+    signature: Signature,
+    moved: _Moves,
+    rules_for: dict[frozenset[StateId], list[Rule]],
+) -> dict[Signature, None]:
+    """The signatures reached by one enabled instance from signature, each
+    once, in the order in which firing the instances of its representative
+    (rule position, then d, then e) first reaches them.
+
+    Equal columns sit next to each other and form a class. Swapping two
+    colors of a class fixes the configuration, so an instance's successor
+    depends only on its rule and on the classes of d and e. The first
+    instance of a rule with d in class c and e in class c2 takes the first
+    color of each class (for e, the second one when c2 is c), and these
+    first instances come in the order of (c, c2). Trying the classes in that
+    order therefore meets each successor where firing meets it first.
+
+    Two memos live for one exploration: moved holds column rewrites (see
+    :func:`_moved`), rules_for the rules with both pre-states in a set of
+    active states, in position order.
+    """
+    firsts: list[int] = []  # per class: its first color
+    sizes: list[int] = []  # per class: its number of colors
+    counts: list[dict[StateId, int]] = []  # per class: its column as a map
+    at: dict[StateId, list[int]] = {}  # state -> the classes holding it, ascending
+    previous = None
+    for color, column in enumerate(signature):
+        if column == previous:
+            sizes[-1] += 1
+            continue
+        previous = column
+        for q, _ in column:
+            at.setdefault(q, []).append(len(firsts))
+        firsts.append(color)
+        sizes.append(1)
+        counts.append(dict(column))
+
+    active = frozenset(at)
+    rules = rules_for.get(active)
+    if rules is None:
+        by_pre = protocol.rules_by_pre
+        rules = rules_for[active] = [
+            rule
+            for _, rule in sorted(
+                (position, rule)
+                for p in at
+                for position, rule in by_pre.get(p, ())
+                if rule.pre[1] in at
+            )
+        ]
+    out: dict[Signature, None] = {}
+    for rule in rules:
+        p, p2 = rule.pre
+        if rule.guard is Guard.EQ:
+            need = 2 if p == p2 else 1
+            for c in at[p]:
+                if counts[c].get(p2, 0) >= need:
+                    columns = list(signature)
+                    d = firsts[c]
+                    columns[d] = _moved(moved, signature[d], rule.pre, rule.post)
+                    columns.sort()
+                    out[tuple(columns)] = None
+        else:
+            take, give = (p,), (rule.post[0],)
+            take2, give2 = (p2,), (rule.post[1],)
+            for c in at[p]:
+                for c2 in at[p2]:
+                    if c == c2 and sizes[c] < 2:
+                        continue
+                    columns = list(signature)
+                    d, e = firsts[c], firsts[c2] + (c == c2)
+                    columns[d] = _moved(moved, signature[d], take, give)
+                    columns[e] = _moved(moved, signature[e], take2, give2)
+                    columns.sort()
+                    out[tuple(columns)] = None
+    return out
+
+
+def _moved(
+    moved: _Moves, column: Column, take: tuple[StateId, ...], give: tuple[StateId, ...]
+) -> Column:
+    """column after one agent leaves each state of take and one enters each
+    state of give, memoised in moved."""
+    key = (column, take, give)
+    after = moved.get(key)
+    if after is None:
+        left = dict(column)
+        for q in take:
+            left[q] -= 1
+        for q in give:
+            left[q] = left.get(q, 0) + 1
+        after = moved[key] = tuple(sorted((q, n) for q, n in left.items() if n))
+    return after
 
 
 def _strongly_connected(edges: Mapping[Hashable, Iterable[Hashable]]) -> list[list[Hashable]]:

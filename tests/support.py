@@ -22,10 +22,11 @@ from udpp.core import (
     StateId,
     Trace,
     TransitionInstance,
+    enabled_instances,
     fire,
 )
 from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
-from udpp.exploration import CanonicalConfig, ReachGraph, canonicalize
+from udpp.exploration import CanonicalConfig, ExplorationLimits, ReachGraph, canonicalize
 from udpp.formats import parse_machine
 from udpp.reduction import build_witness, compile_machine
 
@@ -273,3 +274,34 @@ def per_successor_cycle(graph: ReachGraph, node):
         if back is not None and (best is None or 1 + len(back) < len(best)):
             best = [node] + back
     return best
+
+
+def fire_canonicalize_explore(
+    protocol: Protocol, start: Configuration, limits: ExplorationLimits
+) -> ReachGraph:
+    """Breadth-first closure of canonical forms that fires every enabled
+    instance of each node's representative and canonicalizes the result,
+    with the same budgets, edge order and truncation reasons as explore."""
+    root = canonicalize(start)
+    depth: dict[CanonicalConfig, int] = {root: 0}
+    order: list[CanonicalConfig] = [root]
+    edges: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] = {}
+    reasons: dict[str, str] = {}
+    for node in order:
+        rep = node.representative()
+        instances = enabled_instances(protocol, rep)
+        if instances and limits.max_depth is not None and depth[node] >= limits.max_depth:
+            reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
+            instances = []
+        succs: dict[CanonicalConfig, None] = {}
+        for inst in instances:
+            succ = canonicalize(fire(protocol, rep, inst))
+            if succ not in depth:
+                if len(depth) >= limits.max_nodes:
+                    reasons.setdefault("node", f"node budget exceeded (max_nodes={limits.max_nodes})")
+                    continue
+                depth[succ] = depth[node] + 1
+                order.append(succ)
+            succs[succ] = None
+        edges[node] = tuple(succs)
+    return ReachGraph(edges, root, "; ".join(reasons.values()) or None)

@@ -11,6 +11,7 @@ from support import (
     brute_force_bottom_components,
     compiled_witness,
     dedup_initial_configs,
+    fire_canonicalize_explore,
     list_pick_fair_run,
     per_successor_cycle,
     random_color_bijection,
@@ -38,8 +39,8 @@ from udpp.exploration import (
     random_fair_run,
     shortest_path,
 )
-from udpp.formats import format_trace, parse_machine
-from udpp.reduction import compile_machine
+from udpp.formats import format_trace, parse_configuration, parse_machine, parse_protocol
+from udpp.reduction import RES1, RES2, compile_machine, tagged
 
 LIMITS = ExplorationLimits(max_nodes=10_000)
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -139,6 +140,92 @@ def test_explore_depth_budget_spares_deadlocks():
     graph = explore(protocol, start, ExplorationLimits(max_depth=0))
     assert graph.truncation_reason == "depth budget exceeded (max_depth=0)"
     assert graph.edges == {graph.root: ()}
+
+
+def _same_as_oracle(protocol, start, limits):
+    """explore agrees with the fire-and-canonicalize oracle on the root, the
+    truncation reason and every edge tuple, in order."""
+    graph = explore(protocol, start, limits)
+    oracle = fire_canonicalize_explore(protocol, start, limits)
+    assert graph.root == oracle.root
+    assert graph.truncation_reason == oracle.truncation_reason
+    assert list(graph.edges.items()) == list(oracle.edges.items())
+    return graph
+
+
+def test_explore_matches_the_oracle_on_the_seesaw_starts(seesaw, seesaw_runs):
+    sample = parse_protocol((SAMPLES / "seesaw.pp").read_text(encoding="utf-8"))
+    start = parse_configuration((SAMPLES / "seesaw-init.cfg").read_text(encoding="utf-8"))
+    _same_as_oracle(sample, start, LIMITS)
+    for config in seesaw_runs:
+        _same_as_oracle(seesaw, config, LIMITS)
+    for n in range(1, 7):
+        for canon in enumerate_initial_configs(seesaw, n, 4):
+            _same_as_oracle(seesaw, canon.representative(), LIMITS)
+
+
+def test_explore_matches_the_oracle_on_compiled_machines():
+    protocol, _ = compiled_witness("count4.cm", 4)
+    r1, r2 = tagged(RES1, "R1"), tagged(RES2, "R2")
+    start = Configuration({(r1, 0): 5, **{(r2, color): 1 for color in range(5)}})
+    graph = _same_as_oracle(protocol, start, ExplorationLimits())
+    assert len(graph) == 2457 and sum(map(len, graph.edges.values())) == 12316
+    protocol, witness = compiled_witness("halt.cm", 1)
+    graph = _same_as_oracle(protocol, witness, ExplorationLimits(max_nodes=2000))
+    assert len(graph) == 2000 and graph.truncation_reason == "node budget exceeded (max_nodes=2000)"
+
+
+def test_explore_matches_the_oracle_on_random_protocols():
+    rng = random.Random(167)
+    by_nodes = by_depth = 0
+    for _ in range(600):
+        protocol = random_protocol(rng, max_states=4, max_rules=5)
+        start = random_config(rng, protocol.states, max_agents=6, max_colors=4)
+        _same_as_oracle(protocol, start, ExplorationLimits())
+        limits = ExplorationLimits(max_nodes=rng.randint(1, 6))
+        by_nodes += _same_as_oracle(protocol, start, limits).truncated
+        limits = ExplorationLimits(max_depth=rng.randint(0, 3))
+        by_depth += _same_as_oracle(protocol, start, limits).truncated
+    assert min(by_nodes, by_depth) >= 100
+
+
+def _one_rule(rule: Rule, states=("p", "q", "r", "s", "t")) -> Protocol:
+    return Protocol.make(states, (rule,), states, {q: 0 for q in states})
+
+
+def test_neq_fires_inside_one_class_of_two_equal_columns():
+    protocol = _one_rule(Rule(("p", "p"), Guard.NEQ, ("q", "r")))
+    start = Configuration({("p", 0): 1, ("p", 1): 1})
+    graph = _same_as_oracle(protocol, start, LIMITS)
+    after = canonicalize(Configuration({("q", 0): 1, ("r", 1): 1}))
+    assert graph.edges[graph.root] == (after,)
+
+
+def test_singleton_class_never_fires_neq_with_itself():
+    protocol = _one_rule(Rule(("p", "q"), Guard.NEQ, ("r", "r")))
+    start = Configuration({("p", 0): 1, ("q", 0): 1, ("s", 1): 1})
+    graph = _same_as_oracle(protocol, start, LIMITS)
+    assert graph.edges == {graph.root: ()}
+
+
+def test_eq_rule_with_one_pre_state_needs_two_agents_in_one_column():
+    protocol = _one_rule(Rule(("p", "p"), Guard.EQ, ("q", "q")))
+    spread = Configuration({("p", 0): 1, ("p", 1): 1})
+    assert _same_as_oracle(protocol, spread, LIMITS).edges == {canonicalize(spread): ()}
+    paired = Configuration({("p", 0): 2, ("p", 1): 1})
+    graph = _same_as_oracle(protocol, paired, LIMITS)
+    assert graph.edges[graph.root] == (canonicalize(Configuration({("q", 0): 2, ("p", 1): 1})),)
+
+
+def test_class_pairs_reaching_one_orbit_give_one_edge_at_the_first_pair():
+    # classes A = {q} (colors 0, 1) and B = {q, r} (color 2); the rule moves
+    # e from q to r, so the class pairs (A, A), (A, B), (B, A) reach X, Y, X
+    protocol = _one_rule(Rule(("q", "q"), Guard.NEQ, ("q", "r")))
+    start = Configuration({("q", 0): 1, ("q", 1): 1, ("q", 2): 1, ("r", 2): 1})
+    x = canonicalize(Configuration({("q", 0): 1, ("r", 1): 1, ("q", 2): 1, ("r", 2): 1}))
+    y = canonicalize(Configuration({("q", 0): 1, ("q", 1): 1, ("r", 2): 2}))
+    graph = _same_as_oracle(protocol, start, ExplorationLimits(max_depth=1))
+    assert graph.edges[graph.root] == (x, y)
 
 
 def test_limits_validation():
