@@ -262,7 +262,7 @@ def _cmd_monitors(args) -> int:
     protocol = reduction.compile_machine(machine)
     trace = formats.parse_trace(protocol, _read(args.trace))
     selected = reduction.ALL_MONITORS
-    if args.only:
+    if args.only is not None:
         selected = tuple(name.strip() for name in args.only.split(","))
         unknown = set(selected) - set(reduction.ALL_MONITORS)
         if unknown:

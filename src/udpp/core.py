@@ -206,13 +206,18 @@ class Protocol:
         return frozenset(self.rules)
 
     @cached_property
-    def rules_by_pre(self) -> dict[StateId, tuple[tuple[int, Rule], ...]]:
-        """Each rule with its position in rules, grouped by its first
-        pre-state; positions ascend within a group."""
-        index: dict[StateId, list[tuple[int, Rule]]] = {}
-        for position, rule in enumerate(self.rules):
-            index.setdefault(rule.pre[0], []).append((position, rule))
-        return {state: tuple(group) for state, group in index.items()}
+    def _rules_within(self) -> dict[frozenset[StateId], tuple[Rule, ...]]:
+        return {}
+
+    def rules_within(self, active: frozenset[StateId]) -> tuple[Rule, ...]:
+        """The rules whose two pre-states are in active, in position order;
+        memoised per active set."""
+        rules = self._rules_within.get(active)
+        if rules is None:
+            rules = self._rules_within[active] = tuple(
+                r for r in self.rules if r.pre[0] in active and r.pre[1] in active
+            )
+        return rules
 
 
 def validate_protocol(protocol: Protocol) -> list[str]:
@@ -246,64 +251,31 @@ def is_initial(protocol: Protocol, config: Configuration) -> bool:
     return config.active_states() <= protocol.initial
 
 
-# (position, rule, n, ds, es): see _candidates
-_Candidate = tuple[int, Rule, int, list[ColorId], list[ColorId]]
+def _candidates(
+    protocol: Protocol, config: Configuration
+) -> list[tuple[Rule, list[tuple[ColorId, ColorId]]]]:
+    """The rules with both pre-states active, in position order, each with
+    the ascending (d, e) colour pairs of its enabled instances.
 
-
-def _candidates(protocol: Protocol, config: Configuration) -> list[_Candidate]:
-    """The rules with both pre-states active, in position order, each as
-    (position, rule, n, ds, es): n is its number of enabled instances, and
-    ds and es are colour lists that give those instances.
-
-    An EQ rule has one instance (d, d) per d in ds, which holds the colours
-    with an agent at pre[0] and enough agents at pre[1] (two when both roles
-    are the same (state, color) pair); es is ds. A NEQ rule has one instance
-    (d, e) per d in ds and e in es with d != e, where ds and es are the
-    colours at pre[0] and at pre[1]. All colour lists ascend.
+    An EQ rule has the pairs (d, d) where d has an agent at pre[0] and enough
+    agents at pre[1]: two when both roles are the same (state, color) pair.
+    A NEQ rule has the pairs (d, e) with d at pre[0], e at pre[1] and d != e.
     """
     counts = config._counts
     colors_at: dict[StateId, list[ColorId]] = {}
     for state, color in counts:
         colors_at.setdefault(state, []).append(color)  # sorted, keys are sorted
 
-    by_pre = protocol.rules_by_pre
-    found: list[_Candidate] = []
-    for p, ds in colors_at.items():
-        for position, rule in by_pre.get(p, ()):
-            p2 = rule.pre[1]
-            es = colors_at.get(p2)
-            if es is None:
-                continue
-            if rule.guard is Guard.EQ:
-                need = 2 if p == p2 else 1
-                eq = [d for d in ds if counts.get((p2, d), 0) >= need]
-                found.append((position, rule, len(eq), eq, eq))
-            else:
-                pairs = len(ds) * len(es)
-                for d in ds:  # the pairs (d, d) fail the guard
-                    if (p2, d) in counts:
-                        pairs -= 1
-                found.append((position, rule, pairs, ds, es))
-    found.sort()  # positions are distinct, so only they are compared
-    return found
-
-
-def _instance_at(candidates: list[_Candidate], index: int) -> TransitionInstance:
-    """The instance at index, counted from 0, in the order of
-    :func:`enabled_instances`, built from the output of :func:`_candidates`
-    without building the others."""
-    for _, rule, n, ds, es in candidates:
-        if index >= n:
-            index -= n
-        elif rule.guard is Guard.EQ:
-            return TransitionInstance(rule, ds[index], ds[index])
+    found: list[tuple[Rule, list[tuple[ColorId, ColorId]]]] = []
+    for rule in protocol.rules_within(frozenset(colors_at)):
+        p, p2 = rule.pre
+        if rule.guard is Guard.EQ:
+            need = 2 if p == p2 else 1
+            pairs = [(d, d) for d in colors_at[p] if counts.get((p2, d), 0) >= need]
         else:
-            for d in ds:
-                row = [e for e in es if e != d]
-                if index < len(row):
-                    return TransitionInstance(rule, d, row[index])
-                index -= len(row)
-    raise IndexError("instance index out of range")
+            pairs = [(d, e) for d in colors_at[p] for e in colors_at[p2] if d != e]
+        found.append((rule, pairs))
+    return found
 
 
 def enabled_instances(protocol: Protocol, config: Configuration) -> list[TransitionInstance]:
@@ -312,17 +284,11 @@ def enabled_instances(protocol: Protocol, config: Configuration) -> list[Transit
     A rule with both roles on the same (state, color) pair needs two agents
     there, so a count of one does not enable it.
     """
-    found: list[TransitionInstance] = []
-    for _, rule, _, ds, es in _candidates(protocol, config):
-        if rule.guard is Guard.EQ:
-            for d in ds:
-                found.append(TransitionInstance(rule, d, d))
-        else:
-            for d in ds:
-                for e in es:
-                    if d != e:
-                        found.append(TransitionInstance(rule, d, e))
-    return found
+    return [
+        TransitionInstance(rule, d, e)
+        for rule, pairs in _candidates(protocol, config)
+        for d, e in pairs
+    ]
 
 
 def _apply(config: Configuration, instance: TransitionInstance) -> Configuration | None:

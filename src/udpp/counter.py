@@ -7,8 +7,8 @@ by one, except goto which jumps unconditionally.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator, Union
 
 from .core import UdppError
 
@@ -44,7 +44,7 @@ class Halt:
     pass
 
 
-Instr = Union[Inc, Dec, Goto, Halt]
+Instr = Inc | Dec | Goto | Halt
 
 
 @dataclass(frozen=True)

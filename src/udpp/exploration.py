@@ -26,18 +26,16 @@ from .core import (
     Configuration,
     Guard,
     Protocol,
-    Rule,
     StateId,
     Trace,
+    TransitionInstance,
     UdppError,
     _candidates,
-    _instance_at,
     enabled_instances,
     fire,
 )
 
 Column = tuple[tuple[StateId, int], ...]
-Signature = tuple[Column, ...]
 # (column, states left, states entered) -> the column after those moves
 _Moves = dict[tuple[Column, tuple[StateId, ...], tuple[StateId, ...]], Column]
 
@@ -50,33 +48,27 @@ class EmptyConfiguration(UdppError):
     """Classification rejects populations with no agents."""
 
 
-@dataclass(frozen=True)
-class CanonicalConfig:
-    """A configuration up to color renaming.
-
-    The signature is the sorted multiset of per-color columns, each column
-    being the sorted (state, count) pairs carried by one color. Two
-    configurations canonicalize equal exactly when some color bijection maps
-    one onto the other.
+class CanonicalConfig(tuple[Column, ...]):
+    """A configuration up to color renaming: its signature, the sorted tuple
+    of per-color columns, each column being the sorted (state, count) pairs
+    carried by one color. Two configurations canonicalize equal exactly when
+    some color bijection maps one onto the other. Hash and equality are the
+    tuple's.
     """
 
-    signature: Signature
+    __slots__ = ()
 
     def active_states(self) -> frozenset[StateId]:
-        return frozenset(q for column in self.signature for q, _ in column)
+        return frozenset(q for column in self for q, _ in column)
 
     def representative(self) -> Configuration:
         """A concrete member of the orbit, using colors 0, 1, ..."""
-        return Configuration(
-            {(q, i): n for i, column in enumerate(self.signature) for q, n in column}
-        )
+        return Configuration({(q, i): n for i, column in enumerate(self) for q, n in column})
 
     def __str__(self) -> str:
-        if not self.signature:
+        if not self:
             return "{}"
-        return "+".join(
-            "{" + ",".join(f"{q}:{n}" for q, n in column) + "}" for column in self.signature
-        )
+        return "+".join("{" + ",".join(f"{q}:{n}" for q, n in column) + "}" for column in self)
 
 
 def canonicalize(config: Configuration) -> CanonicalConfig:
@@ -84,7 +76,7 @@ def canonicalize(config: Configuration) -> CanonicalConfig:
     per_color: dict[int, list[tuple[StateId, int]]] = {}
     for (state, color), count in config.items():
         per_color.setdefault(color, []).append((state, count))
-    return CanonicalConfig(tuple(sorted(tuple(column) for column in per_color.values())))
+    return CanonicalConfig(sorted(tuple(column) for column in per_color.values()))
 
 
 @dataclass(frozen=True)
@@ -136,42 +128,38 @@ def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits)
     partial graph still records every edge between discovered, expanded nodes.
     """
     root = canonicalize(start)
-    found: dict[Signature, CanonicalConfig] = {root.signature: root}
+    found: dict[CanonicalConfig, CanonicalConfig] = {root: root}
     order: list[CanonicalConfig] = [root]
     depths: list[int] = [0]  # depths[i] is the depth of order[i]
     edges: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] = {}
     reasons: dict[str, str] = {}  # budget -> message, in the order first hit
     moved: _Moves = {}
-    rules_for: dict[frozenset[StateId], list[Rule]] = {}
     for node, depth in zip(order, depths):  # both grow as nodes are found: the breadth-first queue
-        signatures = _successors(protocol, node.signature, moved, rules_for)
-        if signatures and limits.max_depth is not None and depth >= limits.max_depth:
+        nexts = _successors(protocol, node, moved)
+        if nexts and limits.max_depth is not None and depth >= limits.max_depth:
             reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
-            signatures = ()
+            nexts = {}
         succs: list[CanonicalConfig] = []
-        for signature in signatures:
-            succ = found.get(signature)
-            if succ is None:
+        for succ in nexts:
+            known = found.get(succ)
+            if known is None:
                 if len(found) >= limits.max_nodes:
                     reasons.setdefault("node", f"node budget exceeded (max_nodes={limits.max_nodes})")
                     continue
-                succ = found[signature] = CanonicalConfig(signature)
+                known = found[succ] = succ
                 order.append(succ)
                 depths.append(depth + 1)
-            succs.append(succ)
+            succs.append(known)
         edges[node] = tuple(succs)
     return ReachGraph(edges, root, "; ".join(reasons.values()) or None)
 
 
 def _successors(
-    protocol: Protocol,
-    signature: Signature,
-    moved: _Moves,
-    rules_for: dict[frozenset[StateId], list[Rule]],
-) -> dict[Signature, None]:
-    """The signatures reached by one enabled instance from signature, each
-    once, in the order in which firing the instances of its representative
-    (rule position, then d, then e) first reaches them.
+    protocol: Protocol, node: CanonicalConfig, moved: _Moves
+) -> dict[CanonicalConfig, None]:
+    """The nodes reached by one enabled instance from node, each once, in the
+    order in which firing the instances of its representative (rule
+    position, then d, then e) first reaches them.
 
     Equal columns sit next to each other and form a class. Swapping two
     colors of a class fixes the configuration, so an instance's successor
@@ -181,16 +169,15 @@ def _successors(
     first instances come in the order of (c, c2). Trying the classes in that
     order therefore meets each successor where firing meets it first.
 
-    Two memos live for one exploration: moved holds column rewrites (see
-    :func:`_moved`), rules_for the rules with both pre-states in a set of
-    active states, in position order.
+    The column rewrites are memoised in moved (see :func:`_moved`) for one
+    exploration.
     """
     firsts: list[int] = []  # per class: its first color
     sizes: list[int] = []  # per class: its number of colors
     counts: list[dict[StateId, int]] = []  # per class: its column as a map
     at: dict[StateId, list[int]] = {}  # state -> the classes holding it, ascending
     previous = None
-    for color, column in enumerate(signature):
+    for color, column in enumerate(node):
         if column == previous:
             sizes[-1] += 1
             continue
@@ -201,31 +188,18 @@ def _successors(
         sizes.append(1)
         counts.append(dict(column))
 
-    active = frozenset(at)
-    rules = rules_for.get(active)
-    if rules is None:
-        by_pre = protocol.rules_by_pre
-        rules = rules_for[active] = [
-            rule
-            for _, rule in sorted(
-                (position, rule)
-                for p in at
-                for position, rule in by_pre.get(p, ())
-                if rule.pre[1] in at
-            )
-        ]
-    out: dict[Signature, None] = {}
-    for rule in rules:
+    out: dict[CanonicalConfig, None] = {}
+    for rule in protocol.rules_within(frozenset(at)):
         p, p2 = rule.pre
         if rule.guard is Guard.EQ:
             need = 2 if p == p2 else 1
             for c in at[p]:
                 if counts[c].get(p2, 0) >= need:
-                    columns = list(signature)
+                    columns = list(node)
                     d = firsts[c]
-                    columns[d] = _moved(moved, signature[d], rule.pre, rule.post)
+                    columns[d] = _moved(moved, node[d], rule.pre, rule.post)
                     columns.sort()
-                    out[tuple(columns)] = None
+                    out[CanonicalConfig(columns)] = None
         else:
             take, give = (p,), (rule.post[0],)
             take2, give2 = (p2,), (rule.post[1],)
@@ -233,12 +207,12 @@ def _successors(
                 for c2 in at[p2]:
                     if c == c2 and sizes[c] < 2:
                         continue
-                    columns = list(signature)
+                    columns = list(node)
                     d, e = firsts[c], firsts[c2] + (c == c2)
-                    columns[d] = _moved(moved, signature[d], take, give)
-                    columns[e] = _moved(moved, signature[e], take2, give2)
+                    columns[d] = _moved(moved, node[d], take, give)
+                    columns[e] = _moved(moved, node[e], take2, give2)
                     columns.sort()
-                    out[tuple(columns)] = None
+                    out[CanonicalConfig(columns)] = None
     return out
 
 
@@ -394,7 +368,7 @@ def enumerate_initial_configs(protocol: Protocol, n: int, k: int) -> list[Canoni
     )
     sizes = [sum(count for _, count in column) for column in columns]
 
-    def signatures(first: int, agents: int, colors: int) -> Iterator[Signature]:
+    def signatures(first: int, agents: int, colors: int) -> Iterator[tuple[Column, ...]]:
         # Depth first over non-decreasing column indices: each one once, sorted.
         if agents == 0:
             yield ()
@@ -466,10 +440,15 @@ def random_fair_run(
     current = start
     for _ in range(max_steps):
         candidates = _candidates(protocol, current)
-        total = sum(n for _, _, n, _, _ in candidates)
+        total = sum(len(pairs) for _, pairs in candidates)
         if not total:
             break
-        instance = _instance_at(candidates, rng.randrange(total))
+        index = rng.randrange(total)
+        for rule, pairs in candidates:
+            if index < len(pairs):
+                break
+            index -= len(pairs)
+        instance = TransitionInstance(rule, *pairs[index])
         current = fire(protocol, current, instance)
         steps.append((instance, current))
     return Trace(start, tuple(steps))

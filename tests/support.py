@@ -189,7 +189,7 @@ def dedup_initial_configs(protocol: Protocol, n: int, k: int) -> list[CanonicalC
         for kind in combo:
             counts[kind] = counts.get(kind, 0) + 1
         seen.setdefault(canonicalize(Configuration(counts)), None)
-    return sorted(seen, key=lambda c: c.signature)
+    return sorted(seen)
 
 
 def full_scan_enabled_instances(

@@ -297,8 +297,9 @@ def test_witness_replay_monitor_pipeline(capsys, tmp_path):
         ("bogus", "error: unknown monitors: 'bogus'\n"),
         ("reservoir-no-refill,", "error: unknown monitors: ''\n"),
         ("zeta,reservoir-no-refill,bogus", "error: unknown monitors: 'bogus', 'zeta'\n"),
+        ("", "error: unknown monitors: ''\n"),
     ],
-    ids=("bogus", "trailing-comma", "two-unknown"),
+    ids=("bogus", "trailing-comma", "two-unknown", "empty"),
 )
 def test_unknown_monitor_names_are_quoted(capsys, tmp_path, only, error):
     trace_file = tmp_path / "empty.trace"

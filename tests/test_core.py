@@ -145,6 +145,27 @@ def test_enabled_instances_match_the_full_scan_oracle():
     assert found >= 40_000
 
 
+def test_rules_within_is_the_full_scan_in_position_order():
+    rng = random.Random(61)
+    for _ in range(400):
+        protocol = random_protocol(rng, max_states=4, max_rules=6)
+        rules = list(protocol.rules)
+        for rule in rng.sample(rules, min(2, len(rules))):  # equal rules at two positions
+            rules.insert(rng.randint(0, len(rules)), Rule(rule.pre, rule.guard, rule.post))
+        protocol = Protocol.make(protocol.states, rules, protocol.initial, protocol.output)
+        copies = [Rule(r.pre, r.guard, r.post) for r in rules]
+        twin = Protocol.make(protocol.states, copies, protocol.initial, protocol.output)
+        assert twin == protocol
+        for _ in range(6):
+            active = frozenset(rng.sample(protocol.states, rng.randint(0, len(protocol.states))))
+            for owner in (protocol, twin):
+                got = owner.rules_within(active)
+                want = [r for r in owner.rules if r.pre[0] in active and r.pre[1] in active]
+                # rule identity, not rule equality: the twin's equal rules are other objects
+                assert [id(r) for r in got] == [id(r) for r in want]
+                assert owner.rules_within(frozenset(sorted(active))) is got
+
+
 def test_self_pair_needs_two_agents():
     rule = Rule(("q", "q"), Guard.EQ, ("p", "q"))
     protocol = Protocol.make(("p", "q"), (rule,), ("q",), {"p": 0, "q": 1})

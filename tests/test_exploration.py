@@ -57,6 +57,14 @@ def test_canonicalize_empty():
     assert str(canonicalize(Configuration())) == "{}"
 
 
+def test_canonical_config_is_its_column_tuple():
+    canon = canonicalize(Configuration({("q", 9): 1, ("p", 7): 2, ("q", 7): 1}))
+    columns = ((("p", 2), ("q", 1)), (("q", 1),))
+    assert canon == columns and hash(canon) == hash(columns)
+    assert CanonicalConfig(columns) == canon and {columns: 1}[canon] == 1
+    assert str(canon) == "{p:2,q:1}+{q:1}"
+
+
 def test_canonicalize_random_permutations():
     rng = random.Random(71)
     for _ in range(500):
@@ -173,6 +181,17 @@ def test_explore_matches_the_oracle_on_compiled_machines():
     protocol, witness = compiled_witness("halt.cm", 1)
     graph = _same_as_oracle(protocol, witness, ExplorationLimits(max_nodes=2000))
     assert len(graph) == 2000 and graph.truncation_reason == "node budget exceeded (max_nodes=2000)"
+
+
+def test_explore_interns_every_successor_as_its_node_key():
+    protocol, _ = compiled_witness("count4.cm", 4)
+    r1, r2 = tagged(RES1, "R1"), tagged(RES2, "R2")
+    start = Configuration({(r1, 0): 5, **{(r2, color): 1 for color in range(5)}})
+    graph = explore(protocol, start, ExplorationLimits())
+    keys = {node: node for node in graph.edges}
+    succs = [succ for row in graph.edges.values() for succ in row]
+    assert len(succs) == 12316
+    assert all(type(succ) is CanonicalConfig and succ is keys[succ] for succ in succs)
 
 
 def test_explore_matches_the_oracle_on_random_protocols():
