@@ -13,6 +13,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 StateId = str
 ColorId = int
@@ -68,8 +69,7 @@ class Rule:
         )
 
 
-@dataclass(frozen=True)
-class TransitionInstance:
+class TransitionInstance(NamedTuple):
     """A rule together with the colors chosen for its two roles.
 
     Construction does not check the guard: :func:`enabled_instances` only
@@ -100,7 +100,7 @@ class Configuration:
     deterministic. Repeated keys in the input are summed.
     """
 
-    __slots__ = ("_counts", "_hash")
+    __slots__ = ("_counts",)
 
     def __init__(
         self, counts: Mapping[CountKey, int] | Iterable[tuple[CountKey, int]] = ()
@@ -114,7 +114,6 @@ class Configuration:
                 key = (state, int(color))
                 acc[key] = acc.get(key, 0) + count
         self._counts: dict[CountKey, int] = dict(sorted(acc.items()))
-        self._hash: int | None = None
 
     def __getitem__(self, key: CountKey) -> int:
         return self._counts.get(key, 0)
@@ -149,9 +148,7 @@ class Configuration:
         return self._counts == other._counts
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(self._counts.items()))
-        return self._hash
+        return hash(tuple(self._counts.items()))
 
     def __bool__(self) -> bool:
         return bool(self._counts)
@@ -165,7 +162,6 @@ class Configuration:
         (str, int) keys in sorted order, without copying or checking them."""
         config = cls.__new__(cls)
         config._counts = counts
-        config._hash = None
         return config
 
 
@@ -251,31 +247,28 @@ def is_initial(protocol: Protocol, config: Configuration) -> bool:
     return config.active_states() <= protocol.initial
 
 
-def _candidates(
-    protocol: Protocol, config: Configuration
-) -> list[tuple[Rule, list[tuple[ColorId, ColorId]]]]:
-    """The rules with both pre-states active, in position order, each with
-    the ascending (d, e) colour pairs of its enabled instances.
+def _candidates(protocol: Protocol, config: Configuration) -> list[tuple[Rule, ColorId, ColorId]]:
+    """The (rule, d, e) rows of the enabled instances, ordered by rule
+    position, then d, then e.
 
-    An EQ rule has the pairs (d, d) where d has an agent at pre[0] and enough
+    An EQ rule has the rows (d, d) where d has an agent at pre[0] and enough
     agents at pre[1]: two when both roles are the same (state, color) pair.
-    A NEQ rule has the pairs (d, e) with d at pre[0], e at pre[1] and d != e.
+    A NEQ rule has the rows (d, e) with d at pre[0], e at pre[1] and d != e.
     """
     counts = config._counts
     colors_at: dict[StateId, list[ColorId]] = {}
     for state, color in counts:
         colors_at.setdefault(state, []).append(color)  # sorted, keys are sorted
 
-    found: list[tuple[Rule, list[tuple[ColorId, ColorId]]]] = []
+    rows: list[tuple[Rule, ColorId, ColorId]] = []
     for rule in protocol.rules_within(frozenset(colors_at)):
         p, p2 = rule.pre
         if rule.guard is Guard.EQ:
             need = 2 if p == p2 else 1
-            pairs = [(d, d) for d in colors_at[p] if counts.get((p2, d), 0) >= need]
+            rows += [(rule, d, d) for d in colors_at[p] if counts.get((p2, d), 0) >= need]
         else:
-            pairs = [(d, e) for d in colors_at[p] for e in colors_at[p2] if d != e]
-        found.append((rule, pairs))
-    return found
+            rows += [(rule, d, e) for d in colors_at[p] for e in colors_at[p2] if d != e]
+    return rows
 
 
 def enabled_instances(protocol: Protocol, config: Configuration) -> list[TransitionInstance]:
@@ -284,11 +277,7 @@ def enabled_instances(protocol: Protocol, config: Configuration) -> list[Transit
     A rule with both roles on the same (state, color) pair needs two agents
     there, so a count of one does not enable it.
     """
-    return [
-        TransitionInstance(rule, d, e)
-        for rule, pairs in _candidates(protocol, config)
-        for d, e in pairs
-    ]
+    return [TransitionInstance(*row) for row in _candidates(protocol, config)]
 
 
 def _apply(config: Configuration, instance: TransitionInstance) -> Configuration | None:

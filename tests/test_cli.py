@@ -74,6 +74,7 @@ def test_unknown_flag_is_an_input_error(capsys):
         ["sweep", "seesaw.pp", "--max-colors", "2", "--max-agents", "0"],
         ["classify", "seesaw.pp", "seesaw.cfg", "--max-nodes", "0"],
         ["classify", "seesaw.pp", "seesaw.cfg", "--max-depth", "-1"],
+        ["classify", "seesaw.pp", "seesaw.cfg", "--max-nodes", "abc"],
         ["witness", SAMPLES / "halt.cm", "--k", "0"],
         ["replay-sigma", SAMPLES / "halt.cm", "--k", "0"],
         ["simulate", "seesaw.pp", "seesaw.cfg", "--steps", "-1"],
@@ -414,21 +415,32 @@ def test_certificate_replay_failure_is_inconclusive(capsys, tmp_path):
     assert out.startswith("Unknown(certificate replay failed")
 
 
-def test_certificate_requires_matching_protocol(capsys, tmp_path, seesaw_files):
-    pp, _ = seesaw_files
+def test_certificate_requires_matching_protocol(capsys, tmp_path):
+    # the count4 protocol knows the halt witness's states, but halt.cm compiles to another protocol
+    pp_file = tmp_path / "count4.pp"
+    run(capsys, "compile", SAMPLES / "count4.cm", "--out", pp_file)
     cfg_file = tmp_path / "halt.cfg"
     run(capsys, "witness", SAMPLES / "halt.cm", "--k", 1, "--out", cfg_file)
-    code, _, err = run(
-        capsys,
-        "classify",
-        pp,
-        cfg_file,
-        "--certificate",
-        "sigma",
-        "--machine",
-        SAMPLES / "halt.cm",
-    )
-    assert code == 1
+    argv = ["classify", pp_file, cfg_file, "--certificate", "sigma"]
+    code, out, err = run(capsys, *argv, "--machine", SAMPLES / "halt.cm")
+    assert (code, out, err) == (1, "", "error: protocol file does not match the compiled machine\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: --certificate sigma needs --machine <file>\n")
+
+
+def test_replay_of_a_witness_without_an_r2_agent_is_an_input_error(capsys, tmp_path):
+    cfg_file = tmp_path / "no-r2.cfg"
+    cfg_file.write_text("agent R1@R1 0 9\n")
+    code, out, err = run(capsys, "replay-sigma", SAMPLES / "halt.cm", "--witness", cfg_file)
+    assert (code, out, err) == (1, "", "error: start configuration is missing a reservoir\n")
+
+
+def test_protocol_without_an_output_is_an_input_error(capsys, tmp_path, seesaw_files):
+    _, cfg = seesaw_files
+    pp = tmp_path / "no-out.pp"
+    pp.write_text(SEESAW_PP.replace("out q 1\n", ""))
+    code, out, err = run(capsys, "classify", pp, cfg)
+    assert (code, out, err) == (1, "", f"error: {pp}: state 'q' has no output value\n")
 
 
 def test_monitors_flag_a_doctored_trace(capsys, tmp_path):

@@ -90,6 +90,15 @@ def test_enabled_at_start_is_only_the_recruit_rule(seesaw, seesaw_runs):
     assert enabled_instances(seesaw, c0) == [TransitionInstance(recruit, RED, BLUE)]
 
 
+def test_instance_str_and_repr_are_pinned(seesaw):
+    instance = TransitionInstance(seesaw.rules[0], RED, BLUE)
+    assert str(instance) == "recruit: (p, q) neq (q, q) @ (0, 1)"
+    assert repr(instance) == (
+        "TransitionInstance(rule=Rule(pre=('p', 'q'), guard=<Guard.NEQ: 'neq'>, "
+        "post=('q', 'q'), label='recruit'), d=0, e=1)"
+    )
+
+
 def test_enabled_empty_config(seesaw):
     assert enabled_instances(seesaw, Configuration()) == []
 
@@ -323,6 +332,15 @@ def test_validate_reports_duplicates_and_partial_output():
     problems = validate_protocol(bad)
     assert any("duplicate" in p for p in problems)
     assert any("no output" in p for p in problems)
+
+
+def test_validate_reports_undeclared_initial_and_output_states():
+    assert validate_protocol(Protocol.make(("p",), (), ("p", "z"), {"p": 0})) == [
+        "initial state 'z' is not declared"
+    ]
+    assert validate_protocol(Protocol.make(("p",), (), ("p",), {"p": 0, "z": 1})) == [
+        "output assigned to undeclared state 'z'"
+    ]
 
 
 def test_validate_reports_bad_output_value():

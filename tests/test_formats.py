@@ -39,21 +39,23 @@ def test_any_guard_desugars_into_two_rules():
 
 
 def test_protocol_parse_errors_carry_line_numbers():
-    with pytest.raises(ParseError) as err:
-        parse_protocol("state a\nwobble a\n")
-    assert err.value.line == 2
-    with pytest.raises(ParseError) as err:
-        parse_protocol("state a\nrule a z eq a a\n")
-    assert err.value.line == 2 and "'z'" in str(err.value)
-    with pytest.raises(ParseError) as err:
-        parse_protocol("state a\nout a 2\n")
-    assert err.value.line == 2
-    with pytest.raises(ParseError) as err:
-        parse_protocol("state a\nstate a\n")
-    assert err.value.line == 2
-    with pytest.raises(ParseError) as err:
-        parse_protocol("state a\nrule a a maybe a a\n")
-    assert err.value.line == 2
+    for text, error in (
+        ("state a\nwobble a\n", "line 2: unknown directive 'wobble'"),
+        ("state a b\n", "line 1: expected: state <id>"),
+        ("state a\nstate a\n", "line 2: state 'a' declared twice"),
+        ("state a\ninit\n", "line 2: expected: init <id>"),
+        ("state a\ninit b\n", "line 2: unknown state 'b'"),
+        ("state a\nout a\n", "line 2: expected: out <id> <0|1>"),
+        ("state a\nout b 1\n", "line 2: unknown state 'b'"),
+        ("state a\nout a 2\n", "line 2: output must be 0 or 1, got '2'"),
+        ("state a\nout a 0\n# again\nout a 1\n", "line 4: output of 'a' assigned twice"),
+        ("state a\nrule a a eq a\n", "line 2: expected: rule <p> <p'> <eq|neq|any> <q> <q'>"),
+        ("state a\nrule a z eq a a\n", "line 2: unknown state 'z'"),
+        ("state a\nrule a a maybe a a\n", "line 2: unknown guard 'maybe'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_protocol(text)
+        assert str(err.value) == error
 
 
 def test_configuration_roundtrip_and_accumulation():
@@ -93,6 +95,12 @@ def test_machine_parse_errors_carry_line_numbers():
         ("# nothing\n\n", "line 1: machine has no instructions"),
         ("dec x 3\nhalt\n", "line 1: target 3 is out of range 1..2"),
         ("# header\n\ninc x\n\n# jump\ngoto 0\n", "line 6: target 0 is out of range 1..2"),
+        ("dec x\nhalt\n", "line 1: expected: dec x|y <k>"),
+        ("dec x two\nhalt\n", "line 1: target must be an integer"),
+        ("inc x\ngoto\n", "line 2: expected: goto <k>"),
+        ("inc x\ngoto 1 2\n", "line 2: expected: goto <k>"),
+        ("inc x\ngoto two\n", "line 2: target must be an integer"),
+        ("halt now\n", "line 1: expected: halt"),
         (
             "# header\n\nhalt\n# tail\n\ndec y 1  # falls through\n",
             "line 6: execution can run past the end; finish with halt or goto",
@@ -154,6 +162,10 @@ def test_trace_parse_rejects_bad_lines():
         ("agent p 0 0", "count must be positive"),
         ("fire recruit 0 0", "colors (0, 0) do not satisfy guard 'neq'"),
         ("fire bounce 0 1", "colors (0, 1) do not satisfy guard 'eq'"),
+        ("fire recruit 0", "expected: fire <rule-name> <d> <e>"),
+        ("fire recruit 0 1 2", "expected: fire <rule-name> <d> <e>"),
+        ("fire recruit 0 blue", "colors must be integers"),
+        ("wobble 0 1", "unknown directive 'wobble'"),
     ):
         with pytest.raises(ParseError) as err:
             parse_trace(protocol, f"agent p 0 2\nagent q 1 1\n\n{line}\n\nagent q 0 2\n")
