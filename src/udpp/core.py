@@ -205,14 +205,24 @@ class Protocol:
     def _rules_within(self) -> dict[frozenset[StateId], tuple[Rule, ...]]:
         return {}
 
+    @cached_property
+    def _positions_by_pre(self) -> dict[StateId, list[int]]:
+        """pre[0] -> the positions of the rules with that first pre-state, ascending."""
+        index: dict[StateId, list[int]] = {}
+        for position, rule in enumerate(self.rules):
+            index.setdefault(rule.pre[0], []).append(position)
+        return index
+
     def rules_within(self, active: frozenset[StateId]) -> tuple[Rule, ...]:
         """The rules whose two pre-states are in active, in position order;
         memoised per active set."""
         rules = self._rules_within.get(active)
         if rules is None:
-            rules = self._rules_within[active] = tuple(
-                r for r in self.rules if r.pre[0] in active and r.pre[1] in active
+            by_pre, all_rules = self._positions_by_pre, self.rules
+            positions = sorted(
+                i for q in active for i in by_pre.get(q, ()) if all_rules[i].pre[1] in active
             )
+            rules = self._rules_within[active] = tuple(all_rules[i] for i in positions)
         return rules
 
 

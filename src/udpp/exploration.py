@@ -117,7 +117,13 @@ class ReachGraph:
         return len(self.edges)
 
 
-def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits) -> ReachGraph:
+def explore(
+    protocol: Protocol,
+    start: Configuration,
+    limits: ExplorationLimits,
+    *,
+    steps: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] | None = None,
+) -> ReachGraph:
     """Breadth-first closure of canonical forms under all enabled instances.
 
     Successors come from :func:`_successors`, which steps signatures
@@ -126,6 +132,15 @@ def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits)
 
     Hitting a budget flags the graph as truncated instead of raising; the
     partial graph still records every edge between discovered, expanded nodes.
+
+    steps, when given, is a successor table that several explorations share:
+    a node's successors are read from it, and computed and stored on a miss.
+    An entry always holds the node's full successor tuple; the budgets trim
+    what this exploration keeps, never what the table holds. An entry is a
+    function of the protocol and the node alone, so a table may be shared
+    only between explorations of one protocol. Firing keeps every colour's
+    agent count, so only starts with the same sorted colour histogram can
+    meet a common node; sharing a table beyond them only grows it.
     """
     root = canonicalize(start)
     found: dict[CanonicalConfig, CanonicalConfig] = {root: root}
@@ -135,10 +150,15 @@ def explore(protocol: Protocol, start: Configuration, limits: ExplorationLimits)
     reasons: dict[str, str] = {}  # budget -> message, in the order first hit
     moved: _Moves = {}
     for node, depth in zip(order, depths):  # both grow as nodes are found: the breadth-first queue
-        nexts = _successors(protocol, node, moved)
+        if steps is None:
+            nexts = _successors(protocol, node, moved)
+        else:
+            nexts = steps.get(node)
+            if nexts is None:
+                nexts = steps[node] = tuple(_successors(protocol, node, moved))
         if nexts and limits.max_depth is not None and depth >= limits.max_depth:
             reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
-            nexts = {}
+            nexts = ()
         succs: list[CanonicalConfig] = []
         for succ in nexts:
             known = found.get(succ)
@@ -414,14 +434,34 @@ class WellSpecReport:
 def check_well_specification(
     protocol: Protocol, max_agents: int, max_colors: int, limits: ExplorationLimits
 ) -> WellSpecReport:
-    """Classify every canonical initial configuration within the bounds."""
+    """Classify every canonical initial configuration within the bounds.
+
+    Each start is explored and classified on its own, under its own budget,
+    and the entries come in signature order per agent count, exactly as
+    :func:`classify_output` would give them one by one. The explorations of
+    the starts with one sorted colour histogram share a successor table
+    (see :func:`explore`), built for this protocol only and dropped when the
+    last of those starts is done: firing keeps each colour's agent count, so
+    starts of different histograms never meet, and one table per histogram
+    class keeps memory to the largest class.
+    """
     if max_agents < 1:
         raise ValueError("max_agents must be at least 1")
-    entries = [
-        (canon, classify_output(protocol, canon.representative(), limits))
-        for n in range(1, max_agents + 1)
-        for canon in enumerate_initial_configs(protocol, n, max_colors)
-    ]
+    entries: list[tuple[CanonicalConfig, OutputClass]] = []
+    for n in range(1, max_agents + 1):
+        starts = enumerate_initial_configs(protocol, n, max_colors)
+        classes: dict[tuple[int, ...], list[CanonicalConfig]] = {}
+        for canon in starts:
+            histogram = tuple(sorted(sum(count for _, count in column) for column in canon))
+            classes.setdefault(histogram, []).append(canon)
+        by_start: dict[CanonicalConfig, OutputClass] = {}
+        for members in classes.values():
+            steps: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] = {}
+            for canon in members:
+                graph = explore(protocol, canon.representative(), limits, steps=steps)
+                oc = classify_graph(protocol, graph)
+                by_start[canon] = OutputClass(oc.verdict, oc.reason)  # no component, as in classify_output
+        entries += [(canon, by_start[canon]) for canon in starts]
     verdicts = {oc.verdict for _, oc in entries}
     if Verdict.NO_OUTPUT in verdicts:
         verdict = VERDICT_WITNESS

@@ -26,7 +26,19 @@ from udpp.core import (
     fire,
 )
 from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
-from udpp.exploration import CanonicalConfig, ExplorationLimits, ReachGraph, canonicalize
+from udpp.exploration import (
+    VERDICT_BOUNDED_OK,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_WITNESS,
+    CanonicalConfig,
+    ExplorationLimits,
+    ReachGraph,
+    Verdict,
+    WellSpecReport,
+    canonicalize,
+    classify_output,
+    enumerate_initial_configs,
+)
 from udpp.formats import parse_machine
 from udpp.reduction import build_witness, compile_machine
 
@@ -305,3 +317,23 @@ def fire_canonicalize_explore(
             succs[succ] = None
         edges[node] = tuple(succs)
     return ReachGraph(edges, root, "; ".join(reasons.values()) or None)
+
+
+def per_start_sweep(
+    protocol: Protocol, max_agents: int, max_colors: int, limits: ExplorationLimits
+) -> WellSpecReport:
+    """The bounded sweep with one table-free classify_output per start, in
+    signature order per agent count, and the same overall call."""
+    entries = tuple(
+        (canon, classify_output(protocol, canon.representative(), limits))
+        for n in range(1, max_agents + 1)
+        for canon in enumerate_initial_configs(protocol, n, max_colors)
+    )
+    verdicts = {oc.verdict for _, oc in entries}
+    if Verdict.NO_OUTPUT in verdicts:
+        verdict = VERDICT_WITNESS
+    elif Verdict.UNKNOWN in verdicts:
+        verdict = VERDICT_INCONCLUSIVE
+    else:
+        verdict = VERDICT_BOUNDED_OK
+    return WellSpecReport(entries, verdict)

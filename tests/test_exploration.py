@@ -13,6 +13,7 @@ from support import (
     dedup_initial_configs,
     fire_canonicalize_explore,
     list_pick_fair_run,
+    per_start_sweep,
     per_successor_cycle,
     random_color_bijection,
     random_config,
@@ -537,6 +538,65 @@ def test_sweep_witness_dominates_budget_unknowns(seesaw):
     assert report.verdict == "not-well-specified"
     verdicts = {oc.verdict for _, oc in report.entries}
     assert Verdict.UNKNOWN in verdicts and Verdict.NO_OUTPUT in verdicts
+
+
+def _same_sweep(protocol, max_agents, max_colors, limits):
+    report = check_well_specification(protocol, max_agents, max_colors, limits)
+    oracle = per_start_sweep(protocol, max_agents, max_colors, limits)
+    assert report.entries == oracle.entries
+    assert report.verdict == oracle.verdict
+    return report
+
+
+def test_sweep_matches_the_per_start_oracle_on_the_samples():
+    sample = parse_protocol((SAMPLES / "seesaw.pp").read_text(encoding="utf-8"))
+    report = _same_sweep(sample, 6, 4, ExplorationLimits())
+    assert len(report.entries) == 246 and report.verdict == "not-well-specified"
+    protocol, _ = compiled_witness("halt.cm", 1)
+    report = _same_sweep(protocol, 4, 3, ExplorationLimits())
+    assert len(report.entries) == 50 and report.verdict == "well-specified-up-to-bounds"
+
+
+def test_sweep_matches_the_per_start_oracle_on_random_protocols():
+    rng = random.Random(233)
+    by_nodes = by_depth = 0  # cases where a budget left some start Unknown
+    for _ in range(300):
+        protocol = random_protocol(rng, max_states=3, max_rules=4)
+        agents, colors = rng.randint(2, 3), rng.randint(2, 3)
+        for max_nodes in (1, 5, 20, 100_000):
+            report = _same_sweep(protocol, agents, colors, ExplorationLimits(max_nodes=max_nodes))
+            by_nodes += any(oc.verdict is Verdict.UNKNOWN for _, oc in report.entries)
+        report = _same_sweep(protocol, agents, colors, ExplorationLimits(max_depth=rng.randint(0, 2)))
+        by_depth += any(oc.verdict is Verdict.UNKNOWN for _, oc in report.entries)
+    assert min(by_nodes, by_depth) >= 90
+
+
+def test_explorations_sharing_one_table_match_table_free_ones(seesaw):
+    # one histogram class: six agents on colours carrying 1, 2 and 3 of them
+    members = [
+        canon
+        for canon in enumerate_initial_configs(seesaw, 6, 4)
+        if sorted(sum(n for _, n in column) for column in canon) == [1, 2, 3]
+    ]
+    largest = sorted(members, key=lambda c: -len(explore(seesaw, c.representative(), LIMITS)))
+    random.Random(5).shuffle(members)
+    # budgeted starts first, so that a trimmed entry would reach the full ones
+    jobs = [
+        (largest[0], ExplorationLimits(max_nodes=3), "node budget exceeded (max_nodes=3)"),
+        (largest[1], ExplorationLimits(max_depth=1), "depth budget exceeded (max_depth=1)"),
+    ] + [(canon, LIMITS, None) for canon in members]
+    steps: dict = {}
+    expanded = set()
+    for canon, limits, reason in jobs:
+        shared = explore(seesaw, canon.representative(), limits, steps=steps)
+        alone = explore(seesaw, canon.representative(), limits)
+        assert list(shared.edges.items()) == list(alone.edges.items())
+        assert shared.root == alone.root == canon
+        assert shared.truncation_reason == alone.truncation_reason == reason
+        if reason is None:  # an untrimmed graph shows every node's full entry
+            assert all(steps[node] == succs for node, succs in alone.edges.items())
+            expanded.update(alone.edges)
+    assert len(members) == 24 and set(steps) == expanded
 
 
 def test_sweep_report_lines_shape(seesaw):
