@@ -191,6 +191,8 @@ def _cmd_classify(args) -> int:
             print(f"# certified by a scripted run of {len(trace)} steps into a deadlock")
             print("# with both opinions still present")
         return _VERDICT_EXIT[oc.verdict]
+    if args.machine:
+        raise UdppError("--machine needs --certificate sigma")
     limits = ExplorationLimits(max_nodes=args.max_nodes, max_depth=args.max_depth)
     graph = explore(protocol, config, limits)
     oc = classify_graph(protocol, graph)
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=_positive, default=100_000)
     p.add_argument("--max-depth", type=_non_negative, default=None)
     p.add_argument("--certificate", choices=["explore", "sigma"], default="explore")
-    p.add_argument("--machine", help="machine file, required with --certificate sigma")
+    p.add_argument("--machine", help="machine file for --certificate sigma")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("sweep", help="classify all small initial configurations")

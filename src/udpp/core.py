@@ -121,10 +121,6 @@ class Configuration:
     def items(self) -> Iterator[tuple[CountKey, int]]:
         return iter(self._counts.items())
 
-    def support(self) -> int:
-        """Number of (state, color) pairs with a nonzero count."""
-        return len(self._counts)
-
     def total(self) -> int:
         """Total number of agents."""
         return sum(self._counts.values())

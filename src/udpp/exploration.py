@@ -94,7 +94,7 @@ class ExplorationLimits:
 @dataclass(frozen=True)
 class ReachGraph:
     """Forward closure over canonical forms; the nodes are the keys of edges,
-    in discovery order.
+    in discovery order, so the root, expanded first, is the first key.
 
     Without a truncation reason the node set is closed under firing and
     deadlocked nodes are exactly those without successors. With one, some
@@ -102,8 +102,11 @@ class ReachGraph:
     """
 
     edges: Mapping[CanonicalConfig, tuple[CanonicalConfig, ...]]
-    root: CanonicalConfig
-    truncation_reason: str | None = None
+    truncation_reason: str | None = field(default=None, kw_only=True)
+
+    @property
+    def root(self) -> CanonicalConfig:
+        return next(iter(self.edges))
 
     @property
     def nodes(self) -> tuple[CanonicalConfig, ...]:
@@ -171,7 +174,7 @@ def explore(
                 depths.append(depth + 1)
             succs.append(known)
         edges[node] = tuple(succs)
-    return ReachGraph(edges, root, "; ".join(reasons.values()) or None)
+    return ReachGraph(edges, truncation_reason="; ".join(reasons.values()) or None)
 
 
 def _successors(

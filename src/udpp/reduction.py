@@ -385,37 +385,20 @@ def _replay(protocol: Protocol, machine: CounterMachine, start: Configuration) -
             r.fire_family(f"ZeroTest2[{m}]", ("R1", "R2"), control, fresh)
             shadow_color[c] = fresh
 
-    # Drain R2 so the setup chain can never restart. Every remaining R2 agent
-    # has a color no sink1 agent shares (R2 colors are unique), so the neq
-    # variant always applies.
-    while True:
-        remaining = r.colors_in(tagged(RES2, "R2"))
-        if not remaining:
-            break
+    # Drain R2 so the setup chain can never restart. Every sink1 agent sits
+    # on tag R2: the start is initial, and Setup1 and every conversion below
+    # put their sink1 agents there. The neq variant needs a sink1 colour other
+    # than the target's, which a witness that repeats an R2 colour may lack.
+    while remaining := r.colors_in(tagged(RES2, "R2")):
         target = remaining[0]
-        picked = None
-        for tag in TAGS:
-            for d in r.colors_in(tagged(SINK1, tag)):
-                if d != target or tag != "R2":
-                    picked = (tag, d)
-                    break
-            if picked:
-                break
-        if picked is None:
+        absorber = next((d for d in r.colors_in(tagged(SINK1, "R2")) if d != target), None)
+        if absorber is None:
             raise StuckReplay("no sink1 agent available to absorb the R2 reservoir")
-        r.fire_family(f"ConvertToSink1[{RES2}]", (picked[0], "R2"), picked[1], target)
+        r.fire_family(f"ConvertToSink1[{RES2}]", ("R2", "R2"), absorber, target)
 
     # Empty sink1 through the halted control agent.
-    while True:
-        found = None
-        for tag in TAGS:
-            colors = r.colors_in(tagged(SINK1, tag))
-            if colors:
-                found = (tag, colors[0])
-                break
-        if found is None:
-            break
-        r.fire_family(f"CauseDeadlock[{config.pc}]", ("R1", found[0]), control, found[1])
+    while sinks := r.colors_in(tagged(SINK1, "R2")):
+        r.fire_family(f"CauseDeadlock[{config.pc}]", ("R1", "R2"), control, sinks[0])
 
     # A counter left nonzero with its shadow flag at =0 can still be detected
     # once; settle such detections so that nothing at all remains enabled.

@@ -316,7 +316,7 @@ def fire_canonicalize_explore(
                 order.append(succ)
             succs[succ] = None
         edges[node] = tuple(succs)
-    return ReachGraph(edges, root, "; ".join(reasons.values()) or None)
+    return ReachGraph(edges, truncation_reason="; ".join(reasons.values()) or None)
 
 
 def per_start_sweep(

@@ -428,6 +428,47 @@ def test_certificate_requires_matching_protocol(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: --certificate sigma needs --machine <file>\n")
 
 
+def test_machine_without_the_sigma_certificate_is_an_input_error(capsys, tmp_path):
+    pp = tmp_path / "zero.pp"
+    cfg = tmp_path / "pair.cfg"
+    pp.write_text("state a\ninit a\nout a 0\n")
+    cfg.write_text("agent a 0 2\n")
+    code, out, err = run(capsys, "classify", pp, cfg, "--machine", SAMPLES / "halt.cm")
+    assert (code, out, err) == (1, "", "error: --machine needs --certificate sigma\n")
+
+
+HALT_K1_WITNESS = "".join(f"agent R1@R1 {c} 9\n" for c in range(3)) + "".join(
+    f"agent R2@R2 {c} 1\n" for c in range(3)
+)
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        (
+            HALT_K1_WITNESS.replace("agent R2@R2 1 1", "agent R2@R2 1 2"),
+            "terminal configuration still enables 2 instance(s), e.g. InputViolation[xbar.=0,ybar.=0]:"
+            " (xbar.=0@R2, ybar.=0@R2) eq (sink2@R2, sink2@R2) @ (1, 1)",
+        ),
+        (
+            "agent R1@R1 0 9\nagent R1@R1 1 9\nagent R2@R2 0 4\nagent R2@R2 1 1\n",
+            "no sink1 agent available to absorb the R2 reservoir",
+        ),
+    ],
+    ids=("repeated-r2-colour", "no-sink1-absorber"),
+)
+def test_replay_failures_are_pinned_through_the_cli(capsys, tmp_path, witness, message):
+    pp_file = tmp_path / "halt.pp"
+    run(capsys, "compile", SAMPLES / "halt.cm", "--out", pp_file)
+    cfg_file = tmp_path / "w.cfg"
+    cfg_file.write_text(witness)
+    code, out, err = run(capsys, "replay-sigma", SAMPLES / "halt.cm", "--witness", cfg_file)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    argv = ["classify", pp_file, cfg_file, "--certificate", "sigma", "--machine", SAMPLES / "halt.cm"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (4, f"Unknown(certificate replay failed: {message})\n", "")
+
+
 def test_replay_of_a_witness_without_an_r2_agent_is_an_input_error(capsys, tmp_path):
     cfg_file = tmp_path / "no-r2.cfg"
     cfg_file.write_text("agent R1@R1 0 9\n")

@@ -48,7 +48,7 @@ def test_configuration_rejects_negative_counts():
 
 def test_configuration_drops_zero_entries():
     assert Configuration({("p", RED): 0}) == Configuration()
-    assert Configuration({("p", RED): 0}).support() == 0
+    assert list(Configuration({("p", RED): 0}).items()) == []
 
 
 def test_configuration_structural_equality_and_hash():

@@ -120,6 +120,7 @@ def test_explore_node_budget_truncates(seesaw, seesaw_runs):
     assert graph.truncated and "node budget" in graph.truncation_reason
     assert graph.nodes == tuple(graph.edges) and len(graph) == 1
     assert graph.truncated == (graph.truncation_reason is not None)
+    assert graph.root is next(iter(graph.edges))
     with pytest.raises(TruncatedGraph):
         bottom_sccs(graph)
 
@@ -129,6 +130,7 @@ def test_explore_exact_budget_is_not_truncated(seesaw, seesaw_runs):
     assert not graph.truncated and len(graph) == 3
     assert graph.nodes == tuple(graph.edges)
     assert graph.truncated == (graph.truncation_reason is not None)
+    assert graph.root is next(iter(graph.edges))
 
 
 def test_explore_depth_budget_truncates(seesaw, seesaw_runs):
@@ -136,6 +138,14 @@ def test_explore_depth_budget_truncates(seesaw, seesaw_runs):
     assert graph.truncated and "depth budget" in graph.truncation_reason
     assert graph.nodes == tuple(graph.edges) and len(graph) == 2
     assert graph.truncated == (graph.truncation_reason is not None)
+    assert graph.root is next(iter(graph.edges))
+
+
+def test_reach_graph_takes_its_truncation_reason_by_keyword(seesaw, seesaw_runs):
+    graph = explore(seesaw, seesaw_runs[0], LIMITS)
+    with pytest.raises(TypeError):
+        ReachGraph(graph.edges, graph.root)
+    assert ReachGraph(graph.edges, truncation_reason="cut").truncated
 
 
 def test_explore_depth_budget_spares_deadlocks():
@@ -266,7 +276,7 @@ def test_bottom_sccs_deadlock_is_singleton():
 
 
 def _synthetic_graph(edges: dict) -> ReachGraph:
-    return ReachGraph(edges={k: tuple(v) for k, v in edges.items()}, root=next(iter(edges)))
+    return ReachGraph({k: tuple(v) for k, v in edges.items()})
 
 
 def _random_digraph(rng: random.Random, max_nodes: int) -> dict[int, list[int]]:

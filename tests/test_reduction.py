@@ -315,6 +315,29 @@ def test_replay_starves_on_a_two_color_witness():
         replay_halting_run(HALT, starved)
 
 
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        (  # a second R2 agent of colour 1 survives the drain and meets the shadows
+            Configuration([*build_witness(HALT, 1).items(), (("R2@R2", 1), 1)]),
+            "terminal configuration still enables 2 instance(s), e.g. InputViolation[xbar.=0,ybar.=0]:"
+            " (xbar.=0@R2, ybar.=0@R2) eq (sink2@R2, sink2@R2) @ (1, 1)",
+        ),
+        (  # the only sink1 agent has the colour of every R2 agent left
+            Configuration(
+                {("R1@R1", 0): 9, ("R1@R1", 1): 9, ("R2@R2", 0): 4, ("R2@R2", 1): 1}
+            ),
+            "no sink1 agent available to absorb the R2 reservoir",
+        ),
+    ],
+    ids=("repeated-r2-colour", "no-sink1-absorber"),
+)
+def test_replay_failure_messages_are_pinned(start, message):
+    with pytest.raises(StuckReplay) as exc:
+        replay_halting_run(HALT, start)
+    assert str(exc.value) == message
+
+
 def test_replay_rejects_non_initial_starts():
     with pytest.raises(StuckReplay):
         replay_halting_run(HALT, singleton("sink1@R1", 0))
