@@ -176,6 +176,8 @@ def _cmd_classify(args) -> int:
     if args.certificate == "sigma":
         if not args.machine:
             raise UdppError("--certificate sigma needs --machine <file>")
+        if args.max_nodes is not None or args.max_depth is not None:
+            raise UdppError("--certificate sigma takes no --max-nodes or --max-depth")
         machine = formats.parse_machine(_read(args.machine))
         compiled = reduction.compile_machine(machine)
         if not _same_protocol(compiled, protocol):
@@ -193,7 +195,7 @@ def _cmd_classify(args) -> int:
         return _VERDICT_EXIT[oc.verdict]
     if args.machine:
         raise UdppError("--machine needs --certificate sigma")
-    limits = ExplorationLimits(max_nodes=args.max_nodes, max_depth=args.max_depth)
+    limits = ExplorationLimits(max_nodes=args.max_nodes or 100_000, max_depth=args.max_depth)
     graph = explore(protocol, config, limits)
     oc = classify_graph(protocol, graph)
     print(oc.describe())
@@ -204,11 +206,10 @@ def _cmd_classify(args) -> int:
 
 def _same_protocol(a: Protocol, b: Protocol) -> bool:
     return (
-        set(a.states) == set(b.states)
+        a.state_set == b.state_set
         and a.initial == b.initial
-        and dict(a.output) == dict(b.output)
-        and Counter((r.pre, r.guard, r.post) for r in a.rules)
-        == Counter((r.pre, r.guard, r.post) for r in b.rules)
+        and a.output == b.output
+        and Counter(a.rules) == Counter(b.rules)
     )
 
 
@@ -229,11 +230,7 @@ def _build_witness(args, machine):
 
 def _cmd_witness(args) -> int:
     machine = formats.parse_machine(_read(args.machine))
-    try:
-        config = _build_witness(args, machine)
-    except reduction.NotHalting as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNNING
+    config = _build_witness(args, machine)
     _emit(formats.format_configuration(config) + "\n", args.out)
     return EXIT_OK
 
@@ -241,14 +238,10 @@ def _cmd_witness(args) -> int:
 def _cmd_replay(args) -> int:
     machine = formats.parse_machine(_read(args.machine))
     protocol = reduction.compile_machine(machine)
-    try:
-        if args.witness:
-            config = formats.parse_configuration(_read(args.witness))
-        else:
-            config = _build_witness(args, machine)
-    except reduction.NotHalting as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNNING
+    if args.witness:
+        config = formats.parse_configuration(_read(args.witness))
+    else:
+        config = _build_witness(args, machine)
     trace = reduction._replay(protocol, machine, config)
     oc = reduction.certificate_verdict(protocol, trace)
     text = formats.format_trace(protocol, trace)
@@ -301,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="stable-consensus verdict for one configuration")
     p.add_argument("protocol")
     p.add_argument("config")
-    p.add_argument("--max-nodes", type=_positive, default=100_000)
-    p.add_argument("--max-depth", type=_non_negative, default=None)
+    p.add_argument("--max-nodes", type=_positive, help="default: 100000")
+    p.add_argument("--max-depth", type=_non_negative)
     p.add_argument("--certificate", choices=["explore", "sigma"], default="explore")
     p.add_argument("--machine", help="machine file for --certificate sigma")
     p.set_defaults(func=_cmd_classify)
@@ -316,16 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="build the halting witness configuration")
     p.add_argument("machine")
-    p.add_argument("--k", type=_positive, default=None, help="step bound; default: steps to halt")
-    p.add_argument("--max-steps", type=_non_negative, default=100_000, help="halting probe budget")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--k", type=_positive, help="step bound; default: steps to halt")
+    source.add_argument("--max-steps", type=_non_negative, default=100_000, help="halting probe budget")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("replay-sigma", help="scripted witness run down to a deadlock")
     p.add_argument("machine")
-    p.add_argument("--k", type=_positive, default=None)
-    p.add_argument("--max-steps", type=_non_negative, default=100_000)
-    p.add_argument("--witness", help="start from this configuration file instead of building one")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--k", type=_positive)
+    source.add_argument("--max-steps", type=_non_negative, default=100_000)
+    source.add_argument("--witness", help="start from this configuration file instead of building one")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_replay)
 
@@ -346,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except reduction.NotHalting as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNNING
     except (UdppError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -128,16 +128,6 @@ class Configuration:
     def active_states(self) -> frozenset[StateId]:
         return frozenset(state for state, _ in self._counts)
 
-    def colors(self) -> frozenset[ColorId]:
-        return frozenset(color for _, color in self._counts)
-
-    def color_histogram(self) -> dict[ColorId, int]:
-        """Agents per color, ignoring states."""
-        hist: dict[ColorId, int] = {}
-        for (_, color), count in self._counts.items():
-            hist[color] = hist.get(color, 0) + count
-        return hist
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
@@ -159,11 +149,6 @@ class Configuration:
         config = cls.__new__(cls)
         config._counts = counts
         return config
-
-
-def singleton(state: StateId, color: ColorId) -> Configuration:
-    """The configuration holding exactly one agent, at (state, color)."""
-    return Configuration({(state, color): 1})
 
 
 @dataclass(frozen=True)
@@ -353,11 +338,6 @@ class Trace:
     @property
     def final(self) -> Configuration:
         return self.steps[-1][1] if self.steps else self.initial
-
-    def configurations(self) -> Iterator[Configuration]:
-        yield self.initial
-        for _, config in self.steps:
-            yield config
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -39,6 +39,7 @@ from .core import (
     is_initial,
 )
 from .counter import (
+    COUNTER_NAMES,
     CmRunResult,
     CounterMachine,
     Dec,
@@ -55,7 +56,6 @@ from .exploration import OutputClass, Verdict, opinions
 TAGS = ("R1", "R2")
 FLAG_PLUS, FLAG_MINUS, FLAG_ZERO, FLAG_POS = "+", "-", "=0", ">0"
 FLAGS = (FLAG_PLUS, FLAG_MINUS, FLAG_ZERO, FLAG_POS)
-COUNTERS = ("x", "y")
 RES1, RES2 = "R1", "R2"
 SINK1, SINK2, GARBAGE = "sink1", "sink2", "garbage"
 
@@ -92,10 +92,6 @@ def main_of(state: StateId) -> str:
     return state.rsplit("@", 1)[0]
 
 
-def tag_of(state: StateId) -> str:
-    return state.rsplit("@", 1)[1]
-
-
 def is_shadow(main: str) -> bool:
     return main.startswith("xbar.") or main.startswith("ybar.")
 
@@ -117,7 +113,7 @@ _FamilySpec = tuple[str, tuple[str, str], tuple[Guard, ...], tuple[str, str]]
 
 def _main_families(machine: CounterMachine, mains: list[str]) -> list[_FamilySpec]:
     specs: list[_FamilySpec] = []
-    for c in COUNTERS:
+    for c in COUNTER_NAMES:
         for flag in FLAGS:
             specs.append(
                 (f"CounterColorViolation[{c},{flag}]", (shadow_state(c, flag), c), NEQ, (SINK2, SINK2))
@@ -148,7 +144,7 @@ def _main_families(machine: CounterMachine, mains: list[str]) -> list[_FamilySpe
         ("Setup3", (setup_state("y"), RES2), ANY, (instr_state(entry), shadow_state("y", FLAG_ZERO)))
     )
 
-    for c in COUNTERS:
+    for c in COUNTER_NAMES:
         specs.append(
             (f"Increment[{c}]", (shadow_state(c, FLAG_PLUS), RES1), EQ, (shadow_state(c, FLAG_POS), c))
         )
@@ -257,9 +253,9 @@ def _main_states(machine: CounterMachine) -> list[str]:
         for m, ins in enumerate(machine.instrs, 1)
         if isinstance(ins, Dec)
     ]
-    mains += list(COUNTERS)
-    mains += [shadow_state(c, flag) for c in COUNTERS for flag in FLAGS]
-    mains += [setup_state(c) for c in COUNTERS]
+    mains += list(COUNTER_NAMES)
+    mains += [shadow_state(c, flag) for c in COUNTER_NAMES for flag in FLAGS]
+    mains += [setup_state(c) for c in COUNTER_NAMES]
     mains += [RES1, RES2, SINK1, SINK2, GARBAGE]
     return mains
 
@@ -402,7 +398,7 @@ def _replay(protocol: Protocol, machine: CounterMachine, start: Configuration) -
 
     # A counter left nonzero with its shadow flag at =0 can still be detected
     # once; settle such detections so that nothing at all remains enabled.
-    for c in COUNTERS:
+    for c in COUNTER_NAMES:
         if config.counter(c) > 0 and shadow_flag[c] == FLAG_ZERO:
             s = shadow_color[c]
             r.fire_family(f"DetectPositive[{c}]", ("R2", "R1"), s, s)
@@ -447,10 +443,10 @@ def _family(guard: Guard, pm: str, pm2: str, qm: str, qm2: str) -> str | None:
         return "sink2-broadcast"
     if is_instr(pm) and pm == qm and pm2 == SINK1 and qm2 == GARBAGE:
         return "halt-drain"
-    if guard is Guard.EQ and pm2 == RES1 and qm2 in COUNTERS:
+    if guard is Guard.EQ and pm2 == RES1 and qm2 in COUNTER_NAMES:
         if (pm, qm) == (shadow_state(qm2, FLAG_PLUS), shadow_state(qm2, FLAG_POS)):
             return "increment"
-    if guard is Guard.EQ and pm2 in COUNTERS and qm2 == GARBAGE:
+    if guard is Guard.EQ and pm2 in COUNTER_NAMES and qm2 == GARBAGE:
         if (pm, qm) == (shadow_state(pm2, FLAG_MINUS), shadow_state(pm2, FLAG_ZERO)):
             return "decrement"
     return None
@@ -513,8 +509,8 @@ def run_monitors(
                         f"{where}: shadow state entered with color {color}, already in play"
                     )
             if MONITOR_COUNTER in monitors:
-                entering = post_main in COUNTERS and pre_main != post_main
-                leaving = pre_main in COUNTERS and post_main != pre_main
+                entering = post_main in COUNTER_NAMES and pre_main != post_main
+                leaving = pre_main in COUNTER_NAMES and post_main != pre_main
                 if entering or leaving:
                     which = post_main if entering else pre_main
                     if family != ("increment" if entering else "decrement"):

@@ -8,6 +8,7 @@ from udpp.reduction import compile_machine
 from udpp.counter import CounterMachine, Halt
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+SRC = SAMPLES.parent / "src"
 
 SEESAW_PP = """\
 state p
@@ -427,6 +428,71 @@ def test_certificate_requires_matching_protocol(capsys, tmp_path):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", "error: --certificate sigma needs --machine <file>\n")
 
+    # the compiled halt protocol matches whatever the order of its lines, but repeats count
+    run(capsys, "compile", SAMPLES / "halt.cm", "--out", pp_file)
+    lines = pp_file.read_text().splitlines()
+    states = [line for line in lines if line.startswith("state ")]
+    rules = [line for line in lines if line.startswith("rule ")]
+    others = [line for line in lines if not line.startswith(("state ", "rule "))]
+    argv = ["classify", pp_file, cfg_file, "--certificate", "sigma", "--machine", SAMPLES / "halt.cm"]
+    pp_file.write_text("\n".join(states[::-1] + others + rules[::-1]) + "\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3 and out.splitlines()[0] == "NoOutput"
+    pp_file.write_text("\n".join(lines + rules[:1]) + "\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: protocol file does not match the compiled machine\n")
+
+
+CLASSIFY_SIGMA = ["classify", "h.pp", "h.cfg", "--certificate", "sigma", "--machine", "halt.cm"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["replay-sigma", "halt.cm", "--witness", "h.cfg", "--k", "7"],
+            "error: argument --k: not allowed with argument --witness",
+        ),
+        (
+            ["replay-sigma", "halt.cm", "--witness", "h.cfg", "--max-steps", "0"],
+            "error: argument --max-steps: not allowed with argument --witness",
+        ),
+        (
+            ["replay-sigma", "halt.cm", "--k", "7", "--max-steps", "0"],
+            "error: argument --max-steps: not allowed with argument --k",
+        ),
+        (
+            ["witness", "halt.cm", "--k", "1", "--max-steps", "0"],
+            "error: argument --max-steps: not allowed with argument --k",
+        ),
+        (
+            [*CLASSIFY_SIGMA, "--max-nodes", "100000"],
+            "error: --certificate sigma takes no --max-nodes or --max-depth",
+        ),
+        (
+            [*CLASSIFY_SIGMA, "--max-depth", "0"],
+            "error: --certificate sigma takes no --max-nodes or --max-depth",
+        ),
+    ],
+    ids=(
+        "replay-witness-k",
+        "replay-witness-max-steps",
+        "replay-k-max-steps",
+        "witness-k-max-steps",
+        "classify-sigma-max-nodes",
+        "classify-sigma-max-depth",
+    ),
+)
+def test_options_a_command_would_ignore_are_input_errors(capsys, tmp_path, argv, error):
+    pp, cfg = tmp_path / "h.pp", tmp_path / "h.cfg"
+    run(capsys, "compile", SAMPLES / "halt.cm", "--out", pp)
+    run(capsys, "witness", SAMPLES / "halt.cm", "--k", 1, "--out", cfg)
+    argv = [{"h.pp": pp, "h.cfg": cfg, "halt.cm": SAMPLES / "halt.cm"}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [error]
+    assert err.splitlines()[-1] == error
+
 
 def test_machine_without_the_sigma_certificate_is_an_input_error(capsys, tmp_path):
     pp = tmp_path / "zero.pp"
@@ -443,28 +509,36 @@ HALT_K1_WITNESS = "".join(f"agent R1@R1 {c} 9\n" for c in range(3)) + "".join(
 
 
 @pytest.mark.parametrize(
-    "witness, message",
+    "machine, witness, message",
     [
         (
+            "halt.cm",
             HALT_K1_WITNESS.replace("agent R2@R2 1 1", "agent R2@R2 1 2"),
             "terminal configuration still enables 2 instance(s), e.g. InputViolation[xbar.=0,ybar.=0]:"
             " (xbar.=0@R2, ybar.=0@R2) eq (sink2@R2, sink2@R2) @ (1, 1)",
         ),
         (
+            "halt.cm",
             "agent R1@R1 0 9\nagent R1@R1 1 9\nagent R2@R2 0 4\nagent R2@R2 1 1\n",
             "no sink1 agent available to absorb the R2 reservoir",
         ),
+        (
+            "count4.cm",
+            "agent R1@R1 0 1\n" + "".join(f"agent R2@R2 {c} 1\n" for c in range(6)),
+            "scripted step 'Increment[x]:eq@R2R1' with colors (1, 1): no agent available at"
+            " (R1@R1, 1) for Increment[x]:eq@R2R1: (xbar.+@R2, R1@R1) eq (xbar.>0@R2, x@R1)",
+        ),
     ],
-    ids=("repeated-r2-colour", "no-sink1-absorber"),
+    ids=("repeated-r2-colour", "no-sink1-absorber", "no-agent-for-a-scripted-step"),
 )
-def test_replay_failures_are_pinned_through_the_cli(capsys, tmp_path, witness, message):
-    pp_file = tmp_path / "halt.pp"
-    run(capsys, "compile", SAMPLES / "halt.cm", "--out", pp_file)
+def test_replay_failures_are_pinned_through_the_cli(capsys, tmp_path, machine, witness, message):
+    pp_file = tmp_path / "m.pp"
+    run(capsys, "compile", SAMPLES / machine, "--out", pp_file)
     cfg_file = tmp_path / "w.cfg"
     cfg_file.write_text(witness)
-    code, out, err = run(capsys, "replay-sigma", SAMPLES / "halt.cm", "--witness", cfg_file)
+    code, out, err = run(capsys, "replay-sigma", SAMPLES / machine, "--witness", cfg_file)
     assert (code, out, err) == (1, "", f"error: {message}\n")
-    argv = ["classify", pp_file, cfg_file, "--certificate", "sigma", "--machine", SAMPLES / "halt.cm"]
+    argv = ["classify", pp_file, cfg_file, "--certificate", "sigma", "--machine", SAMPLES / machine]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (4, f"Unknown(certificate replay failed: {message})\n", "")
 
@@ -531,10 +605,24 @@ def test_byte_identical_across_hash_seeds(seesaw_files, tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "udpp.cli", *argv],
                 capture_output=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
             )
+            assert proc.returncode in (0, 3) and proc.stdout and not proc.stderr, argv
             outputs.add(proc.stdout)
         assert len(outputs) == 1, argv
+
+
+def test_module_entry_point_exits_with_the_command_status():
+    import os
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "udpp.cli", "cm-run", str(SAMPLES / "count4.cm")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"halted after 4 steps\n", b"")
 
 
 def test_sweep_compiled_pump_settles(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,6 @@ from udpp.core import (
     enabled_instances,
     fire,
     is_initial,
-    singleton,
     validate_protocol,
 )
 from udpp.exploration import random_fair_run
@@ -31,14 +31,15 @@ RED, BLUE = 0, 1
 
 
 def test_singleton():
-    assert singleton("p", RED) == Configuration({("p", RED): 1})
+    one = Configuration({("p", RED): 1})
+    assert list(one.items()) == [(("p", RED), 1)] and one.total() == 1
 
 
 def test_seesaw_start_as_singleton_sum():
     # repeated keys in the input are summed
     c0, _, _ = seesaw_configs()
-    agents = [singleton("p", RED), singleton("p", RED), singleton("q", BLUE)]
-    assert Configuration([item for agent in agents for item in agent.items()]) == c0
+    agents = [(("p", RED), 1), (("p", RED), 1), (("q", BLUE), 1)]
+    assert Configuration(agents) == c0
 
 
 def test_configuration_rejects_negative_counts():
@@ -80,7 +81,7 @@ def test_is_initial_excludes_compiled_sink():
     from udpp.reduction import compile_machine
 
     protocol = compile_machine(CounterMachine((Halt(),)))
-    assert not is_initial(protocol, singleton("sink1@R1", RED))
+    assert not is_initial(protocol, Configuration({("sink1@R1", RED): 1}))
     assert is_initial(protocol, Configuration({("R1@R1", RED): 1, ("R2@R2", BLUE): 1}))
 
 
@@ -126,11 +127,8 @@ def _witness_run_configs(sample, k, seeds, steps):
     """The compiled protocol of a sample machine and every configuration of
     seeded random runs from its witness."""
     protocol, witness = compiled_witness(sample, k)
-    configs = [
-        config
-        for seed in seeds
-        for config in random_fair_run(protocol, witness, seed, steps).configurations()
-    ]
+    traces = [random_fair_run(protocol, witness, seed, steps) for seed in seeds]
+    configs = [config for trace in traces for config in (trace.initial, *(c for _, c in trace.steps))]
     return protocol, configs
 
 
@@ -178,7 +176,7 @@ def test_rules_within_is_the_full_scan_in_position_order():
 def test_self_pair_needs_two_agents():
     rule = Rule(("q", "q"), Guard.EQ, ("p", "q"))
     protocol = Protocol.make(("p", "q"), (rule,), ("q",), {"p": 0, "q": 1})
-    assert enabled_instances(protocol, singleton("q", RED)) == []
+    assert enabled_instances(protocol, Configuration({("q", RED): 1})) == []
     two = Configuration({("q", RED): 2})
     assert enabled_instances(protocol, two) == [TransitionInstance(rule, RED, RED)]
 
@@ -233,7 +231,10 @@ def test_fire_preserves_total_and_per_color_counts():
     for protocol, config, instance in _random_fires(rng, 1000):
         after = fire(protocol, config, instance)
         assert after.total() == config.total()
-        assert after.color_histogram() == config.color_histogram()
+        before_colors, after_colors = (
+            Counter(color for (_, color), n in c.items() for _ in range(n)) for c in (config, after)
+        )
+        assert after_colors == before_colors
 
 
 def test_fire_deterministic():
@@ -286,7 +287,7 @@ def test_color_permutation_equivariance():
     for _ in range(120):
         protocol = random_protocol(rng)
         config = random_config(rng, protocol.states, max_agents=4)
-        mapping = random_color_bijection(rng, config.colors())
+        mapping = random_color_bijection(rng, (color for (_, color), _ in config.items()))
         permuted = apply_color_map(config, mapping)
         direct = enabled_instances(protocol, permuted)
         lifted = [

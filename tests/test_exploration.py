@@ -21,7 +21,7 @@ from support import (
     raw_output_verdict,
     seesaw_configs,
 )
-from udpp.core import Configuration, Guard, Protocol, Rule, singleton
+from udpp.core import Configuration, Guard, Protocol, Rule, UdppError
 from udpp.exploration import (
     CanonicalConfig,
     EmptyConfiguration,
@@ -70,7 +70,7 @@ def test_canonicalize_random_permutations():
     rng = random.Random(71)
     for _ in range(500):
         config = random_config(rng, ("p", "q", "r"), max_agents=5, max_colors=4)
-        mapping = random_color_bijection(rng, config.colors(), spare=5)
+        mapping = random_color_bijection(rng, (color for (_, color), _ in config.items()), spare=5)
         assert canonicalize(config) == canonicalize(apply_color_map(config, mapping))
 
 
@@ -101,7 +101,7 @@ def test_explore_seesaw_graph_exactly(seesaw, seesaw_runs):
 
 def test_explore_no_rules_single_node(seesaw_runs):
     protocol = Protocol.make(("p",), (), ("p",), {"p": 1})
-    graph = explore(protocol, singleton("p", 0), LIMITS)
+    graph = explore(protocol, Configuration({("p", 0): 1}), LIMITS)
     assert len(graph) == 1 and graph.edges[graph.root] == ()
 
 
@@ -259,8 +259,10 @@ def test_class_pairs_reaching_one_orbit_give_one_edge_at_the_first_pair():
 
 
 def test_limits_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_nodes must be at least 1"):
         ExplorationLimits(max_nodes=0)
+    with pytest.raises(ValueError, match="max_depth must be non-negative"):
+        ExplorationLimits(max_depth=-1)
 
 
 def test_bottom_sccs_seesaw(seesaw, seesaw_runs):
@@ -271,7 +273,7 @@ def test_bottom_sccs_seesaw(seesaw, seesaw_runs):
 
 def test_bottom_sccs_deadlock_is_singleton():
     protocol = Protocol.make(("p",), (), ("p",), {"p": 1})
-    graph = explore(protocol, singleton("p", 0), LIMITS)
+    graph = explore(protocol, Configuration({("p", 0): 1}), LIMITS)
     assert bottom_sccs(graph) == [frozenset({graph.root})]
 
 
@@ -381,7 +383,7 @@ def test_classify_seesaw_start_has_no_output(seesaw, seesaw_runs):
 
 def test_classify_deadlocked_singleton_converges():
     protocol = Protocol.make(("p",), (), ("p",), {"p": 1})
-    assert classify_output(protocol, singleton("p", 0), LIMITS).verdict is Verdict.OUT1
+    assert classify_output(protocol, Configuration({("p", 0): 1}), LIMITS).verdict is Verdict.OUT1
 
 
 def test_classify_conflicting_settled_components_mean_no_output():
@@ -416,7 +418,7 @@ def test_classify_invariant_under_recoloring(seesaw):
     for _ in range(40):
         protocol = random_protocol(rng)
         config = random_config(rng, sorted(protocol.initial), max_agents=3)
-        mapping = random_color_bijection(rng, config.colors())
+        mapping = random_color_bijection(rng, (color for (_, color), _ in config.items()))
         a = classify_output(protocol, config, LIMITS)
         b = classify_output(protocol, apply_color_map(config, mapping), LIMITS)
         assert a.verdict == b.verdict
@@ -502,6 +504,8 @@ def test_enumerate_validates_arguments(seesaw):
         enumerate_initial_configs(seesaw, 0, 1)
     with pytest.raises(ValueError):
         enumerate_initial_configs(seesaw, 1, 0)
+    with pytest.raises(ValueError, match="max_agents must be at least 1"):
+        check_well_specification(seesaw, 0, 1, LIMITS)
 
 
 def test_sweep_seesaw_finds_the_witness(seesaw):
@@ -620,15 +624,15 @@ def test_random_run_cycles_through_the_seesaw(seesaw, seesaw_runs):
     c0, c1, c2 = seesaw_runs
     trace = random_fair_run(seesaw, c0, seed=5, max_steps=1000)
     assert len(trace) == 1000
-    seen = Counter(canonicalize(c) for c in trace.configurations())
+    seen = Counter(canonicalize(c) for c in (trace.initial, *(after for _, after in trace.steps)))
     assert set(seen) == {canonicalize(c0), canonicalize(c1), canonicalize(c2)}
     assert seen[canonicalize(c1)] >= 10 and seen[canonicalize(c2)] >= 10
 
 
 def test_random_run_stops_at_deadlock():
     protocol = Protocol.make(("p",), (), ("p",), {"p": 1})
-    trace = random_fair_run(protocol, singleton("p", 0), seed=1, max_steps=50)
-    assert len(trace) == 0 and trace.final == singleton("p", 0)
+    trace = random_fair_run(protocol, Configuration({("p", 0): 1}), seed=1, max_steps=50)
+    assert len(trace) == 0 and trace.final == Configuration({("p", 0): 1})
 
 
 def test_random_run_reproducible(seesaw, seesaw_runs):
@@ -699,7 +703,7 @@ def test_long_run_tail_settles_in_one_bottom_component(seesaw, seesaw_runs):
     graph = explore(seesaw, c0, LIMITS)
     components = bottom_sccs(graph)
     trace = random_fair_run(seesaw, c0, seed=9, max_steps=10_000)
-    configs = list(trace.configurations())
+    configs = [trace.initial, *(c for _, c in trace.steps)]
     tail = configs[len(configs) // 2 :]
     tail_nodes = {canonicalize(c) for c in tail}
     assert any(tail_nodes <= component for component in components)
@@ -716,7 +720,7 @@ def test_fair_runs_agree_with_bottom_components_small_scale():
             continue
         components = bottom_sccs(graph)
         trace = random_fair_run(protocol, config, seed=agreeing, max_steps=4000)
-        configs = list(trace.configurations())
+        configs = [trace.initial, *(c for _, c in trace.steps)]
         tail = configs[len(configs) // 2 :] if len(trace) == 4000 else [configs[-1]]
         tail_nodes = {canonicalize(c) for c in tail}
         assert any(tail_nodes <= component for component in components)
@@ -735,3 +739,8 @@ def test_path_helpers_realize_concrete_traces(seesaw, seesaw_runs):
     assert loop is not None and loop[0] == loop[-1] == canonicalize(c2)
     cycle = concretize_path(seesaw, stem.final, loop)
     assert canonicalize(cycle.final) == canonicalize(c2)
+    with pytest.raises(UdppError, match="start configuration does not match the path's first node"):
+        concretize_path(seesaw, c1, path)
+    # c2 is two steps from c0, so no edge joins them
+    with pytest.raises(UdppError, match="canonical path cannot be realized; graph out of sync"):
+        concretize_path(seesaw, c0, [path[0], path[-1]])

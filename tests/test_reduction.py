@@ -12,7 +12,6 @@ from udpp.core import (
     TransitionInstance,
     enabled_instances,
     is_initial,
-    singleton,
     validate_protocol,
 )
 from support import random_machine
@@ -20,6 +19,7 @@ from udpp.counter import CounterMachine, Dec, Goto, GotoCycle, Halt, Inc, cm_run
 from udpp.exploration import (
     ExplorationLimits,
     Verdict,
+    canonicalize,
     classify_output,
     enumerate_initial_configs,
     random_fair_run,
@@ -40,7 +40,6 @@ from udpp.reduction import (
     main_of,
     replay_halting_run,
     run_monitors,
-    tag_of,
 )
 
 HALT = CounterMachine((Halt(),))
@@ -95,7 +94,7 @@ def test_compiled_initial_and_output():
 def test_same_tag_r2_eq_rules_are_exactly_the_input_violations():
     protocol = compile_machine(COUNT4)
     for rule in protocol.rules:
-        tags = (tag_of(rule.pre[0]), tag_of(rule.pre[1]))
+        tags = (rule.pre[0].rsplit("@", 1)[1], rule.pre[1].rsplit("@", 1)[1])
         if tags == ("R2", "R2") and rule.guard is Guard.EQ:
             assert rule.label.startswith("InputViolation[")
             assert rule.post == ("sink2@R2", "sink2@R2")
@@ -104,8 +103,8 @@ def test_same_tag_r2_eq_rules_are_exactly_the_input_violations():
 def test_tags_never_change():
     for machine in MACHINES:
         for rule in compile_machine(machine).rules:
-            assert tag_of(rule.pre[0]) == tag_of(rule.post[0])
-            assert tag_of(rule.pre[1]) == tag_of(rule.post[1])
+            assert rule.pre[0].rsplit("@", 1)[1] == rule.post[0].rsplit("@", 1)[1]
+            assert rule.pre[1].rsplit("@", 1)[1] == rule.post[1].rsplit("@", 1)[1]
 
 
 def test_reservoirs_are_never_refilled():
@@ -124,7 +123,7 @@ def test_lifting_covers_all_tag_pairs():
             continue
         family = rule.label.split(":", 1)[0]
         variants.setdefault(family, set()).add(
-            (rule.guard.value, tag_of(rule.pre[0]), tag_of(rule.pre[1]))
+            (rule.guard.value, rule.pre[0].rsplit("@", 1)[1], rule.pre[1].rsplit("@", 1)[1])
         )
     eq_pairs = {("eq", "R1", "R1"), ("eq", "R1", "R2"), ("eq", "R2", "R1")}
     neq_pairs = {("neq", t1, t2) for t1 in ("R1", "R2") for t2 in ("R1", "R2")}
@@ -151,7 +150,7 @@ def test_compile_rejects_pure_goto_cycles():
 
 def test_witness_shape_for_halt_k1():
     witness = build_witness(HALT, 1)
-    colors = sorted(witness.colors())
+    colors = sorted({color for (_, color), _ in witness.items()})
     assert colors == [0, 1, 2]  # 2k would starve the three-step setup chain
     for color in colors:
         assert witness[("R1@R1", color)] == 9  # 2k + 7
@@ -161,10 +160,10 @@ def test_witness_shape_for_halt_k1():
 
 def test_witness_uses_two_k_colors_once_k_is_large_enough():
     witness = build_witness(HALT, 3)
-    assert len(witness.colors()) == 6
+    assert len(canonicalize(witness)) == 6
     witness = build_witness(COUNT4, 4)
-    assert len(witness.colors()) == 8
-    for color in sorted(witness.colors()):
+    assert len(canonicalize(witness)) == 8
+    for color in range(8):
         assert witness[("R1@R1", color)] == 15
         assert witness[("R2@R2", color)] == 1
 
@@ -174,7 +173,7 @@ def test_witness_is_initial_and_has_no_repeated_reservoir_color():
         protocol = compile_machine(machine)
         witness = build_witness(machine, k)
         assert is_initial(protocol, witness)
-        for color in witness.colors():
+        for (_, color), _ in witness.items():
             assert witness[("R2@R2", color)] <= 1
 
 
@@ -316,31 +315,39 @@ def test_replay_starves_on_a_two_color_witness():
 
 
 @pytest.mark.parametrize(
-    "start, message",
+    "machine, start, message",
     [
         (  # a second R2 agent of colour 1 survives the drain and meets the shadows
+            HALT,
             Configuration([*build_witness(HALT, 1).items(), (("R2@R2", 1), 1)]),
             "terminal configuration still enables 2 instance(s), e.g. InputViolation[xbar.=0,ybar.=0]:"
             " (xbar.=0@R2, ybar.=0@R2) eq (sink2@R2, sink2@R2) @ (1, 1)",
         ),
         (  # the only sink1 agent has the colour of every R2 agent left
+            HALT,
             Configuration(
                 {("R1@R1", 0): 9, ("R1@R1", 1): 9, ("R2@R2", 0): 4, ("R2@R2", 1): 1}
             ),
             "no sink1 agent available to absorb the R2 reservoir",
         ),
+        (  # the first increment finds no R1 agent of the shadow's colour
+            COUNT4,
+            Configuration([(("R1@R1", 0), 1), *((("R2@R2", c), 1) for c in range(6))]),
+            "scripted step 'Increment[x]:eq@R2R1' with colors (1, 1): no agent available at"
+            " (R1@R1, 1) for Increment[x]:eq@R2R1: (xbar.+@R2, R1@R1) eq (xbar.>0@R2, x@R1)",
+        ),
     ],
-    ids=("repeated-r2-colour", "no-sink1-absorber"),
+    ids=("repeated-r2-colour", "no-sink1-absorber", "no-agent-for-a-scripted-step"),
 )
-def test_replay_failure_messages_are_pinned(start, message):
+def test_replay_failure_messages_are_pinned(machine, start, message):
     with pytest.raises(StuckReplay) as exc:
-        replay_halting_run(HALT, start)
+        replay_halting_run(machine, start)
     assert str(exc.value) == message
 
 
 def test_replay_rejects_non_initial_starts():
     with pytest.raises(StuckReplay):
-        replay_halting_run(HALT, singleton("sink1@R1", 0))
+        replay_halting_run(HALT, Configuration({("sink1@R1", 0): 1}))
 
 
 def test_certificate_needs_a_deadlock():
@@ -353,7 +360,7 @@ def test_certificate_needs_a_deadlock():
 
 def test_certificate_requires_disagreement():
     protocol = compile_machine(HALT)
-    lonely = Trace(singleton("garbage@R1", 0), ())
+    lonely = Trace(Configuration({("garbage@R1", 0): 1}), ())
     oc = certificate_verdict(protocol, lonely)
     assert oc.verdict is Verdict.UNKNOWN
 
@@ -381,7 +388,7 @@ def test_monitors_flag_a_forged_sink1_removal():
         (state.replace("sink1", "garbage"), state.replace("sink1", "garbage")),
         label="forged",
     )
-    other = next(d for d in config.colors() if d != color)
+    other = next(d for (_, d), _ in config.items() if d != color)
     counts = dict(config.items())
     counts[(state, color)] -= 1
     garbage_state = state.replace("sink1", "garbage")
@@ -449,7 +456,7 @@ def test_single_reservoir_agents_deadlock_with_output_one():
     protocol = compile_machine(PUMP)
     limits = ExplorationLimits(max_nodes=1000)
     for state in ("R1@R1", "R2@R2"):
-        oc = classify_output(protocol, singleton(state, 0), limits)
+        oc = classify_output(protocol, Configuration({(state, 0): 1}), limits)
         assert oc.verdict is Verdict.OUT1
 
 
