@@ -16,6 +16,8 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -45,6 +47,15 @@ EXIT_RUNNING = 2
 EXIT_WITNESS = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_NOT_INITIAL = 5
+
+MAX_STEPS = 100_000  # default budget of every --max-steps
+
+
+class _NotInitial(UdppError):
+    """The configuration to classify is not initial for the protocol."""
+
+
+_ERROR_EXIT = {reduction.NotHalting: EXIT_RUNNING, _NotInitial: EXIT_NOT_INITIAL}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,13 +90,6 @@ def _read(path: str) -> str:
         raise UdppError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _load_protocol(path: str) -> Protocol:
     protocol = formats.parse_protocol(_read(path))
     problems = validate_protocol(protocol)
@@ -102,24 +106,23 @@ def _load_config(path: str, protocol: Protocol):
     return config
 
 
-def _cmd_cm_run(args) -> int:
+# Each command returns its exit code and its output text; main writes the text.
+
+
+def _cmd_cm_run(args) -> tuple[int, str]:
     machine = formats.parse_machine(_read(args.machine))
     result = cm_run(machine, args.max_steps)
     if result.halted:
-        print(f"halted after {result.steps} steps")
-        return EXIT_OK
-    print(f"still running at {result.final}")
-    return EXIT_RUNNING
+        return EXIT_OK, f"halted after {result.steps} steps\n"
+    return EXIT_RUNNING, f"still running at {result.final}\n"
 
 
-def _cmd_compile(args) -> int:
+def _cmd_compile(args) -> tuple[int, str]:
     machine = formats.parse_machine(_read(args.machine))
-    protocol = reduction.compile_machine(machine)
-    _emit(formats.format_protocol(protocol), args.out)
-    return EXIT_OK
+    return EXIT_OK, formats.format_protocol(reduction.compile_machine(machine))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, str]:
     protocol = _load_protocol(args.protocol)
     config = _load_config(args.config, protocol)
     trace = random_fair_run(protocol, config, args.seed, args.steps)
@@ -128,8 +131,7 @@ def _cmd_simulate(args) -> int:
         text += f"\n# deadlock after {len(trace)} steps\n"
     else:
         text += f"\n# stopped at the step limit ({args.steps})\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
 _VERDICT_EXIT = {
@@ -145,34 +147,30 @@ _SWEEP_EXIT = {
 }
 
 
-def _print_no_output_evidence(protocol: Protocol, config, graph, target) -> None:
+def _no_output_evidence(protocol: Protocol, config, graph, target) -> str:
     if len(opinions(protocol, target)) > 1:
-        print("# evidence: reachable bottom component with mixed opinions")
+        text = "# evidence: reachable bottom component with mixed opinions\n"
     else:
-        print("# evidence: conflicting stable consensuses are reachable;")
-        print("# the trace below leads into an output-0 component")
+        text = "# evidence: conflicting stable consensuses are reachable;\n"
+        text += "# the trace below leads into an output-0 component\n"
     path = shortest_path(graph, graph.root, target)
     assert path is not None
     stem = concretize_path(protocol, config, path)
-    print("# stem")
-    print(formats.format_trace(protocol, stem).rstrip("\n"))
+    text += "# stem\n" + formats.format_trace(protocol, stem).rstrip("\n") + "\n"
     loop = cycle_through(graph, path[-1])
-    if loop is not None:
-        cycle = concretize_path(protocol, stem.final, loop)
-        print("# cycle")
-        print(formats.format_trace(protocol, cycle).rstrip("\n"))
-    else:
-        print("# deadlock: the component is a single stuck configuration")
+    if loop is None:
+        return text + "# deadlock: the component is a single stuck configuration\n"
+    cycle = concretize_path(protocol, stem.final, loop)
+    return text + "# cycle\n" + formats.format_trace(protocol, cycle).rstrip("\n") + "\n"
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, str]:
     protocol = _load_protocol(args.protocol)
     config = _load_config(args.config, protocol)
     if config.total() == 0:
         raise UdppError("classification needs at least one agent")
     if not is_initial(protocol, config):
-        print("error: configuration is not initial for this protocol", file=sys.stderr)
-        return EXIT_NOT_INITIAL
+        raise _NotInitial("configuration is not initial for this protocol")
     if args.certificate == "sigma":
         if not args.machine:
             raise UdppError("--certificate sigma needs --machine <file>")
@@ -185,23 +183,22 @@ def _cmd_classify(args) -> int:
         try:
             trace = reduction._replay(compiled, machine, config)
         except reduction.StuckReplay as exc:
-            print(f"Unknown(certificate replay failed: {exc})")
-            return EXIT_INCONCLUSIVE
+            return EXIT_INCONCLUSIVE, f"Unknown(certificate replay failed: {exc})\n"
         oc = reduction.certificate_verdict(compiled, trace)
-        print(oc.describe())
+        text = oc.describe() + "\n"
         if oc.verdict is Verdict.NO_OUTPUT:
-            print(f"# certified by a scripted run of {len(trace)} steps into a deadlock")
-            print("# with both opinions still present")
-        return _VERDICT_EXIT[oc.verdict]
+            text += f"# certified by a scripted run of {len(trace)} steps into a deadlock\n"
+            text += "# with both opinions still present\n"
+        return _VERDICT_EXIT[oc.verdict], text
     if args.machine:
         raise UdppError("--machine needs --certificate sigma")
-    limits = ExplorationLimits(max_nodes=args.max_nodes or 100_000, max_depth=args.max_depth)
+    limits = ExplorationLimits(max_nodes=args.max_nodes or ExplorationLimits.max_nodes, max_depth=args.max_depth)
     graph = explore(protocol, config, limits)
     oc = classify_graph(protocol, graph)
-    print(oc.describe())
+    text = oc.describe() + "\n"
     if oc.verdict is Verdict.NO_OUTPUT:
-        _print_no_output_evidence(protocol, config, graph, oc.component)
-    return _VERDICT_EXIT[oc.verdict]
+        text += _no_output_evidence(protocol, config, graph, oc.component)
+    return _VERDICT_EXIT[oc.verdict], text
 
 
 def _same_protocol(a: Protocol, b: Protocol) -> bool:
@@ -213,13 +210,11 @@ def _same_protocol(a: Protocol, b: Protocol) -> bool:
     )
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, str]:
     protocol = _load_protocol(args.protocol)
     limits = ExplorationLimits(max_nodes=args.max_nodes)
     report = check_well_specification(protocol, args.max_agents, args.max_colors, limits)
-    for line in report.lines():
-        print(line)
-    return _SWEEP_EXIT[report.verdict]
+    return _SWEEP_EXIT[report.verdict], "".join(line + "\n" for line in report.lines())
 
 
 def _build_witness(args, machine):
@@ -228,14 +223,12 @@ def _build_witness(args, machine):
     return reduction._witness_of_run(cm_run(machine, args.max_steps))
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[int, str]:
     machine = formats.parse_machine(_read(args.machine))
-    config = _build_witness(args, machine)
-    _emit(formats.format_configuration(config) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, formats.format_configuration(_build_witness(args, machine)) + "\n"
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> tuple[int, str]:
     machine = formats.parse_machine(_read(args.machine))
     protocol = reduction.compile_machine(machine)
     if args.witness:
@@ -248,11 +241,10 @@ def _cmd_replay(args) -> int:
     text += f"\n# terminal: deadlock after {len(trace)} steps\n"
     text += f"# active opinions at the deadlock: {sorted(opinions(protocol, [trace.final]))}\n"
     text += f"# verdict: {oc.describe()}\n"
-    _emit(text, args.out)
-    return _VERDICT_EXIT[oc.verdict]
+    return _VERDICT_EXIT[oc.verdict], text
 
 
-def _cmd_monitors(args) -> int:
+def _cmd_monitors(args) -> tuple[int, str]:
     machine = formats.parse_machine(_read(args.machine))
     protocol = reduction.compile_machine(machine)
     trace = formats.parse_trace(protocol, _read(args.trace))
@@ -263,10 +255,8 @@ def _cmd_monitors(args) -> int:
         if unknown:
             raise UdppError("unknown monitors: " + ", ".join(f"'{name}'" for name in sorted(unknown)))
     violations = reduction.run_monitors(protocol, trace, selected)
-    for violation in violations:
-        print(violation)
-    print(f"{len(violations)} violations")
-    return EXIT_OK if not violations else EXIT_WITNESS
+    text = "".join(f"{violation}\n" for violation in violations) + f"{len(violations)} violations\n"
+    return EXIT_OK if not violations else EXIT_WITNESS, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cm-run", help="run a counter machine from (1, 0, 0)")
     p.add_argument("machine")
-    p.add_argument("--max-steps", type=_non_negative, default=100_000)
+    p.add_argument("--max-steps", type=_non_negative, default=MAX_STEPS)
     p.set_defaults(func=_cmd_cm_run)
 
     p = sub.add_parser("compile", help="compile a counter machine into a protocol")
@@ -294,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="stable-consensus verdict for one configuration")
     p.add_argument("protocol")
     p.add_argument("config")
-    p.add_argument("--max-nodes", type=_positive, help="default: 100000")
+    p.add_argument("--max-nodes", type=_positive, help=f"default: {ExplorationLimits.max_nodes}")
     p.add_argument("--max-depth", type=_non_negative)
     p.add_argument("--certificate", choices=["explore", "sigma"], default="explore")
     p.add_argument("--machine", help="machine file for --certificate sigma")
@@ -304,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol")
     p.add_argument("--max-agents", type=_positive, required=True)
     p.add_argument("--max-colors", type=_positive, required=True)
-    p.add_argument("--max-nodes", type=_positive, default=100_000)
+    p.add_argument("--max-nodes", type=_positive, default=ExplorationLimits.max_nodes)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("witness", help="build the halting witness configuration")
     p.add_argument("machine")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--k", type=_positive, help="step bound; default: steps to halt")
-    source.add_argument("--max-steps", type=_non_negative, default=100_000, help="halting probe budget")
+    source.add_argument("--max-steps", type=_non_negative, default=MAX_STEPS, help="halting probe budget")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_witness)
 
@@ -319,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--k", type=_positive)
-    source.add_argument("--max-steps", type=_non_negative, default=100_000)
+    source.add_argument("--max-steps", type=_non_negative, default=MAX_STEPS)
     source.add_argument("--witness", help="start from this configuration file instead of building one")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_replay)
@@ -340,13 +330,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except reduction.NotHalting as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNNING
+        code, text = args.func(args)
+        if getattr(args, "out", None):
+            Path(args.out).write_text(text, encoding="utf-8")
+            return code
+        if isinstance(sys.stdout, io.TextIOWrapper):
+            sys.stdout.reconfigure(encoding="utf-8")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early: keep the verdict, let the exit flush hit devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (UdppError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _ERROR_EXIT.get(type(exc), EXIT_INPUT)
+    return code
 
 
 if __name__ == "__main__":

@@ -49,7 +49,14 @@ Instr = Inc | Dec | Goto | Halt
 
 @dataclass(frozen=True)
 class CounterMachine:
+    """A machine that can run from (1, 0, 0); construction rejects any other."""
+
     instrs: tuple[Instr, ...]
+
+    def __post_init__(self) -> None:
+        problems = _machine_problems(self.instrs)
+        if problems:
+            raise UdppError("; ".join(f"instruction {i}: {message}" if i else message for i, message in problems))
 
     def __len__(self) -> int:
         return len(self.instrs)
@@ -70,28 +77,23 @@ class CmConfig:
         return f"pc={self.pc} x={self.x} y={self.y}"
 
 
-def _machine_problems(machine: CounterMachine) -> list[tuple[int, str]]:
-    """(instruction index, message) for each reason the machine cannot run
-    from (1, 0, 0), in index order; index 0 means it has no instructions."""
-    n = len(machine.instrs)
+def _machine_problems(instrs: tuple[Instr, ...]) -> list[tuple[int, str]]:
+    """(instruction index, message) for each reason these instructions cannot
+    run from (1, 0, 0), in index order; index 0 means there are none."""
+    n = len(instrs)
     if n == 0:
         return [(0, "machine has no instructions")]
     problems: list[tuple[int, str]] = []
-    for index, ins in enumerate(machine.instrs, 1):
+    for index, ins in enumerate(instrs, 1):
         if isinstance(ins, (Inc, Dec)) and ins.counter not in COUNTER_NAMES:
             problems.append((index, f"unknown counter '{ins.counter}'"))
         target = getattr(ins, "target", None)
         if target is not None and not 1 <= target <= n:
             problems.append((index, f"target {target} is out of range 1..{n}"))
-    if isinstance(machine.instrs[-1], (Inc, Dec)):
+    if isinstance(instrs[-1], (Inc, Dec)):
         # Inc always falls through; Dec falls through on its nonzero branch.
         problems.append((n, "execution can run past the end; finish with halt or goto"))
     return problems
-
-
-def validate_machine(machine: CounterMachine) -> list[str]:
-    """Diagnostics; empty when the machine is runnable from (1, 0, 0)."""
-    return [f"instruction {i}: {message}" if i else message for i, message in _machine_problems(machine)]
 
 
 def cm_step(machine: CounterMachine, config: CmConfig) -> CmConfig | None:

@@ -169,12 +169,11 @@ def parse_machine(text: str) -> CounterMachine:
         else:
             raise ParseError(number, f"unknown instruction '{keyword}'")
         lines_of.append(number)
-    machine = CounterMachine(tuple(instrs))
-    problems = _machine_problems(machine)
+    problems = _machine_problems(tuple(instrs))
     if problems:
         index, message = problems[0]
         raise ParseError(lines_of[index - 1] if index else 1, message)
-    return machine
+    return CounterMachine(tuple(instrs))
 
 
 def format_machine(machine: CounterMachine) -> str:

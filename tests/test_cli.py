@@ -625,6 +625,45 @@ def test_module_entry_point_exits_with_the_command_status():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"halted after 4 steps\n", b"")
 
 
+def test_a_closed_pipe_keeps_the_verdict():
+    # the sweep prints 124,120 bytes, more than a pipe buffer holds, so the
+    # write is still under way when the reader leaves
+    import os
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "udpp.cli", "sweep", str(SAMPLES / "seesaw.pp"), "--max-agents", "10", "--max-colors", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (3, b"")
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "ascii"])
+def test_stdout_is_utf8_whatever_the_locale(capsys, tmp_path, encoding):
+    import os
+    import subprocess
+    import sys
+
+    pp = tmp_path / "accent.pp"
+    cfg = tmp_path / "accent.cfg"
+    pp.write_text(SEESAW_PP.replace("p", "é"), encoding="utf-8")
+    cfg.write_text(SEESAW_CFG.replace("p", "é"), encoding="utf-8")
+    code, out, _ = run(capsys, "classify", pp, cfg)
+    assert code == 3 and "é" in out
+    proc = subprocess.run(
+        [sys.executable, "-m", "udpp.cli", "classify", str(pp), str(cfg)],
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": encoding, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, out.encode("utf-8"), b"")
+
+
 def test_sweep_compiled_pump_settles(capsys, tmp_path):
     pp = tmp_path / "pump.pp"
     code, _, _ = run(capsys, "compile", SAMPLES / "pump.cm", "--out", pp)

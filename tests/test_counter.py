@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 
 from support import random_machine
+from udpp.core import UdppError
 from udpp.counter import (
     CmConfig,
     CounterMachine,
@@ -17,7 +18,6 @@ from udpp.counter import (
     cm_step,
     cm_trace,
     next_instr,
-    validate_machine,
 )
 
 
@@ -138,31 +138,37 @@ def test_counters_never_negative():
             current = following
 
 
+def construction_error(instrs) -> str:
+    with pytest.raises(UdppError) as info:
+        CounterMachine(instrs)
+    return str(info.value)
+
+
 def test_validate_empty_machine():
-    assert validate_machine(CounterMachine(())) == ["machine has no instructions"]
+    assert construction_error(()) == "machine has no instructions"
 
 
 def test_validate_fall_through():
-    problems = validate_machine(CounterMachine((Inc("x"),)))
-    assert any("past the end" in p for p in problems)
+    message = construction_error((Inc("x"),))
+    assert message == "instruction 1: execution can run past the end; finish with halt or goto"
 
 
 def test_validate_target_out_of_range():
-    problems = validate_machine(CounterMachine((Goto(5), Halt())))
-    assert any("out of range" in p for p in problems)
+    assert construction_error((Goto(5), Halt())) == "instruction 1: target 5 is out of range 1..2"
 
 
 def test_validate_reports_every_problem_in_instruction_order():
-    machine = CounterMachine((Goto(0), Inc("z"), Halt(), Dec("w", 9)))
-    assert validate_machine(machine) == [
-        "instruction 1: target 0 is out of range 1..4",
-        "instruction 2: unknown counter 'z'",
-        "instruction 4: unknown counter 'w'",
-        "instruction 4: target 9 is out of range 1..4",
-        "instruction 4: execution can run past the end; finish with halt or goto",
-    ]
+    assert construction_error((Goto(0), Inc("z"), Halt(), Dec("w", 9))) == "; ".join(
+        [
+            "instruction 1: target 0 is out of range 1..4",
+            "instruction 2: unknown counter 'z'",
+            "instruction 4: unknown counter 'w'",
+            "instruction 4: target 9 is out of range 1..4",
+            "instruction 4: execution can run past the end; finish with halt or goto",
+        ]
+    )
 
 
 def test_validate_good_machine():
     machine = CounterMachine((Inc("x"), Dec("x", 4), Goto(2), Halt()))
-    assert validate_machine(machine) == []
+    assert cm_run(machine, 100).halted
