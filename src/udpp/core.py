@@ -187,6 +187,12 @@ class Protocol:
         return {}
 
     @cached_property
+    def _packings(self) -> dict:
+        """The explorer's integer forms of this protocol, filled by
+        graph._packing."""
+        return {}
+
+    @cached_property
     def _positions_by_pre(self) -> dict[StateId, list[int]]:
         """pre[0] -> the positions of the rules with that first pre-state, ascending."""
         index: dict[StateId, list[int]] = {}
@@ -199,12 +205,15 @@ class Protocol:
         memoised per active set."""
         rules = self._rules_within.get(active)
         if rules is None:
-            by_pre, all_rules = self._positions_by_pre, self.rules
-            positions = sorted(
-                i for q in active for i in by_pre.get(q, ()) if all_rules[i].pre[1] in active
-            )
-            rules = self._rules_within[active] = tuple(all_rules[i] for i in positions)
+            rules = self._rules_within[active] = tuple(self.rules[i] for i in self._positions_within(active))
         return rules
+
+    def _positions_within(self, active: Iterable[StateId]) -> list[int]:
+        """The positions of the rules whose two pre-states are in active,
+        ascending: the one active-set rule filter, unmemoised."""
+        active = frozenset(active)
+        by_pre, rules = self._positions_by_pre, self.rules
+        return sorted(i for q in active for i in by_pre.get(q, ()) if rules[i].pre[1] in active)
 
 
 def validate_protocol(protocol: Protocol) -> list[str]:

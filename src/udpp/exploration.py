@@ -1,9 +1,10 @@
-"""Reachability graphs and output classification under fairness.
+"""Exploration and output classification under fairness.
 
 Rules observe colors only through equality tests, so bijective recolorings
 commute with firing. Classification therefore works on a canonical form per
 color-renaming orbit, which keeps reachability graphs small without losing
-any behaviour.
+any behaviour. The orbit nodes and graphs themselves, in their packed form,
+are in :mod:`udpp.graph`; this module re-exports their public names.
 
 Fairness fact used throughout (see README for the proof sketch): on a finite
 reachability graph, the set of configurations a fair execution visits
@@ -16,17 +17,15 @@ when every reachable bottom component is unanimous for the same b.
 from __future__ import annotations
 
 import random
-from collections import deque
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations_with_replacement, groupby
 
 from .core import (
     Configuration,
-    Guard,
     Protocol,
-    StateId,
     Trace,
     TransitionInstance,
     UdppError,
@@ -34,49 +33,25 @@ from .core import (
     enabled_instances,
     fire,
 )
-
-Column = tuple[tuple[StateId, int], ...]
-# (column, states left, states entered) -> the column after those moves
-_Moves = dict[tuple[Column, tuple[StateId, ...], tuple[StateId, ...]], Column]
-
-
-class TruncatedGraph(UdppError):
-    """Raised when an analysis needs a complete graph but got a truncated one."""
+from .graph import (
+    CanonicalConfig,
+    Column,
+    Packed,
+    ReachGraph,
+    TruncatedGraph,
+    _Memo,
+    _Packing,
+    _bottoms,
+    _packing,
+    bottom_sccs,
+    canonicalize,
+    cycle_through,
+    shortest_path,
+)
 
 
 class EmptyConfiguration(UdppError):
     """Classification rejects populations with no agents."""
-
-
-class CanonicalConfig(tuple[Column, ...]):
-    """A configuration up to color renaming: its signature, the sorted tuple
-    of per-color columns, each column being the sorted (state, count) pairs
-    carried by one color. Two configurations canonicalize equal exactly when
-    some color bijection maps one onto the other. Hash and equality are the
-    tuple's.
-    """
-
-    __slots__ = ()
-
-    def active_states(self) -> frozenset[StateId]:
-        return frozenset(q for column in self for q, _ in column)
-
-    def representative(self) -> Configuration:
-        """A concrete member of the orbit, using colors 0, 1, ..."""
-        return Configuration({(q, i): n for i, column in enumerate(self) for q, n in column})
-
-    def __str__(self) -> str:
-        if not self:
-            return "{}"
-        return "+".join("{" + ",".join(f"{q}:{n}" for q, n in column) + "}" for column in self)
-
-
-def canonicalize(config: Configuration) -> CanonicalConfig:
-    """Canonical form; invariant under any bijective recoloring."""
-    per_color: dict[int, list[tuple[StateId, int]]] = {}
-    for (state, color), count in config.items():
-        per_color.setdefault(color, []).append((state, count))
-    return CanonicalConfig(sorted(tuple(column) for column in per_color.values()))
 
 
 @dataclass(frozen=True)
@@ -91,45 +66,16 @@ class ExplorationLimits:
             raise ValueError("max_depth must be non-negative")
 
 
-@dataclass(frozen=True)
-class ReachGraph:
-    """Forward closure over canonical forms; the nodes are the keys of edges,
-    in discovery order, so the root, expanded first, is the first key.
-
-    Without a truncation reason the node set is closed under firing and
-    deadlocked nodes are exactly those without successors. With one, some
-    node went unexpanded and no closure property holds.
-    """
-
-    edges: Mapping[CanonicalConfig, tuple[CanonicalConfig, ...]]
-    truncation_reason: str | None = field(default=None, kw_only=True)
-
-    @property
-    def root(self) -> CanonicalConfig:
-        return next(iter(self.edges))
-
-    @property
-    def nodes(self) -> tuple[CanonicalConfig, ...]:
-        return tuple(self.edges)
-
-    @property
-    def truncated(self) -> bool:
-        return self.truncation_reason is not None
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
 def explore(
     protocol: Protocol,
     start: Configuration,
     limits: ExplorationLimits,
     *,
-    steps: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] | None = None,
+    steps: dict[Packed, tuple[Packed, ...]] | None = None,
 ) -> ReachGraph:
     """Breadth-first closure of canonical forms under all enabled instances.
 
-    Successors come from :func:`_successors`, which steps signatures
+    Successors come from :func:`_successors`, which steps packed signatures
     directly; each node's successors are in the order in which firing the
     enabled instances of its representative first reaches them.
 
@@ -137,52 +83,55 @@ def explore(
     partial graph still records every edge between discovered, expanded nodes.
 
     steps, when given, is a successor table that several explorations share:
-    a node's successors are read from it, and computed and stored on a miss.
-    An entry always holds the node's full successor tuple; the budgets trim
-    what this exploration keeps, never what the table holds. An entry is a
-    function of the protocol and the node alone, so a table may be shared
-    only between explorations of one protocol. Firing keeps every colour's
-    agent count, so only starts with the same sorted colour histogram can
-    meet a common node; sharing a table beyond them only grows it.
+    a packed node's packed successors are read from it, and computed and
+    stored on a miss. An entry always holds the node's full successor tuple;
+    the budgets trim what this exploration keeps, never what the table holds.
+    An entry is a function of the protocol and the node alone, so a table
+    may be shared only between explorations of one protocol; a start with
+    states the protocol does not name explores without it. Firing keeps
+    every colour's agent count, so only starts with the same sorted colour
+    histogram can meet a common node; sharing a table beyond them only grows
+    it. A state the protocol does not name is inert.
     """
-    root = canonicalize(start)
-    found: dict[CanonicalConfig, CanonicalConfig] = {root: root}
-    order: list[CanonicalConfig] = [root]
+    packing = _packing(protocol, start.active_states())
+    if packing.extra:
+        steps = None  # its entries are packed with the protocol's own ranks
+    root = packing.encode(canonicalize(start))
+    found: dict[Packed, int] = {root: 0}  # node -> its id
+    order: list[Packed] = [root]  # id -> node
     depths: list[int] = [0]  # depths[i] is the depth of order[i]
-    edges: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] = {}
+    offsets, targets = array("q", [0]), array("q")
+    link = targets.append
     reasons: dict[str, str] = {}  # budget -> message, in the order first hit
-    moved: _Moves = {}
+    memo = _Memo(packing.moves)
     for node, depth in zip(order, depths):  # both grow as nodes are found: the breadth-first queue
         if steps is None:
-            nexts = _successors(protocol, node, moved)
+            nexts = _successors(packing, node, memo)
         else:
             nexts = steps.get(node)
             if nexts is None:
-                nexts = steps[node] = tuple(_successors(protocol, node, moved))
+                nexts = steps[node] = tuple(_successors(packing, node, memo))
         if nexts and limits.max_depth is not None and depth >= limits.max_depth:
             reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
             nexts = ()
-        succs: list[CanonicalConfig] = []
         for succ in nexts:
             known = found.get(succ)
             if known is None:
-                if len(found) >= limits.max_nodes:
+                if len(order) >= limits.max_nodes:
                     reasons.setdefault("node", f"node budget exceeded (max_nodes={limits.max_nodes})")
                     continue
-                known = found[succ] = succ
+                known = found[succ] = len(order)
                 order.append(succ)
                 depths.append(depth + 1)
-            succs.append(known)
-        edges[node] = tuple(succs)
-    return ReachGraph(edges, truncation_reason="; ".join(reasons.values()) or None)
+            link(known)
+        offsets.append(len(targets))
+    return ReachGraph._explored(order, offsets, targets, packing, "; ".join(reasons.values()) or None)
 
 
-def _successors(
-    protocol: Protocol, node: CanonicalConfig, moved: _Moves
-) -> dict[CanonicalConfig, None]:
-    """The nodes reached by one enabled instance from node, each once, in the
-    order in which firing the instances of its representative (rule
-    position, then d, then e) first reaches them.
+def _successors(packing: _Packing, node: Packed, memo: _Memo) -> dict[Packed, None]:
+    """The packed nodes reached by one enabled instance from node, each
+    once, in the order in which firing the instances of its representative
+    (rule position, then d, then e) first reaches them.
 
     Equal columns sit next to each other and form a class. Swapping two
     colors of a class fixes the configuration, so an instance's successor
@@ -192,131 +141,55 @@ def _successors(
     first instances come in the order of (c, c2). Trying the classes in that
     order therefore meets each successor where firing meets it first.
 
-    The column rewrites are memoised in moved (see :func:`_moved`) for one
-    exploration.
+    memo holds each column's rewrites for one exploration, fetched once per
+    class and keyed by the packed rules' move keys (see :class:`_Packing`).
 
     These class loops are kept apart from :func:`core._candidates` and
     :func:`core._apply` on purpose (measured on CPython 3.11.7, 2 cores):
     feeding both from one shared pair enumerator made ``explore`` on the
     count4 5/5 start take 0.29 s instead of 0.22 s, and storing
-    configurations as per-colour columns, so that firing and :func:`_moved`
+    configurations as per-colour columns, so that firing and :class:`_Rewrites`
     share one rewrite, slowed the seeded scheduler by 8-21 %.
     """
     firsts: list[int] = []  # per class: its first color
     sizes: list[int] = []  # per class: its number of colors
-    counts: list[dict[StateId, int]] = []  # per class: its column as a map
-    at: dict[StateId, list[int]] = {}  # state -> the classes holding it, ascending
+    rewrites: list[_Rewrites] = []  # per class: its column's rewrites
+    at: dict[int, list[int]] = {}  # rank -> the classes holding it, ascending
     previous = None
     for color, column in enumerate(node):
         if column == previous:
             sizes[-1] += 1
             continue
         previous = column
-        for q, _ in column:
-            at.setdefault(q, []).append(len(firsts))
+        for r in column[::2]:
+            at.setdefault(r, []).append(len(firsts))
         firsts.append(color)
         sizes.append(1)
-        counts.append(dict(column))
+        rewrites.append(memo[column])
 
-    out: dict[CanonicalConfig, None] = {}
-    for rule in protocol.rules_within(frozenset(at)):
-        p, p2 = rule.pre
-        if rule.guard is Guard.EQ:
-            need = 2 if p == p2 else 1
+    out: dict[Packed, None] = {}
+    for eq, p, p2, key, key2 in packing.rules_within(frozenset(at)):
+        if eq:
             for c in at[p]:
-                if counts[c].get(p2, 0) >= need:
+                after = rewrites[c][key]
+                if after:
                     columns = list(node)
-                    d = firsts[c]
-                    columns[d] = _moved(moved, node[d], rule.pre, rule.post)
+                    columns[firsts[c]] = after
                     columns.sort()
-                    out[CanonicalConfig(columns)] = None
+                    out[tuple(columns)] = None
         else:
-            take, give = (p,), (rule.post[0],)
-            take2, give2 = (p2,), (rule.post[1],)
             for c in at[p]:
+                d = firsts[c]
+                after = rewrites[c][key]
                 for c2 in at[p2]:
                     if c == c2 and sizes[c] < 2:
                         continue
                     columns = list(node)
-                    d, e = firsts[c], firsts[c2] + (c == c2)
-                    columns[d] = _moved(moved, node[d], take, give)
-                    columns[e] = _moved(moved, node[e], take2, give2)
+                    columns[d] = after
+                    columns[firsts[c2] + (c == c2)] = rewrites[c2][key2]
                     columns.sort()
-                    out[CanonicalConfig(columns)] = None
+                    out[tuple(columns)] = None
     return out
-
-
-def _moved(
-    moved: _Moves, column: Column, take: tuple[StateId, ...], give: tuple[StateId, ...]
-) -> Column:
-    """column after one agent leaves each state of take and one enters each
-    state of give, memoised in moved."""
-    key = (column, take, give)
-    after = moved.get(key)
-    if after is None:
-        left = dict(column)
-        for q in take:
-            left[q] -= 1
-        for q in give:
-            left[q] = left.get(q, 0) + 1
-        after = moved[key] = tuple(sorted((q, n) for q, n in left.items() if n))
-    return after
-
-
-def _strongly_connected(edges: Mapping[Hashable, Iterable[Hashable]]) -> list[list[Hashable]]:
-    """Iterative Tarjan over an adjacency map, starting from its keys in
-    order; components come out in reverse topological order."""
-    index: dict[Hashable, int] = {}
-    low: dict[Hashable, int] = {}
-    on_stack: set[Hashable] = set()
-    stack: list[Hashable] = []
-    components: list[list[Hashable]] = []
-    for start in edges:
-        if start in index:
-            continue
-        index[start] = low[start] = len(index)
-        stack.append(start)
-        on_stack.add(start)
-        work: list[tuple[Hashable, Iterator]] = [(start, iter(edges[start]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(edges[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:  # every successor of v is done
-                work.pop()
-                if low[v] == index[v]:  # v roots a component: pop it off the stack
-                    component = [stack.pop()]
-                    while component[-1] != v:
-                        component.append(stack.pop())
-                    on_stack.difference_update(component)
-                    components.append(component)
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-    return components
-
-
-def bottom_sccs(graph: ReachGraph) -> list[frozenset[CanonicalConfig]]:
-    """Strongly connected components with no edge leaving the component.
-
-    A deadlock node is a singleton bottom component. Requires a complete
-    graph; truncated input raises :class:`TruncatedGraph`.
-    """
-    if graph.truncated:
-        raise TruncatedGraph(graph.truncation_reason)
-    bottoms: list[frozenset[CanonicalConfig]] = []
-    for component in _strongly_connected(graph.edges):
-        members = frozenset(component)
-        if all(w in members for v in component for w in graph.edges[v]):
-            bottoms.append(members)
-    return bottoms
 
 
 def opinions(protocol: Protocol, configs: Iterable[Configuration | CanonicalConfig]) -> set[int]:
@@ -352,17 +225,33 @@ def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
     """Verdict for a fully explored graph; Unknown when it is truncated."""
     if graph.truncated:
         return OutputClass(Verdict.UNKNOWN, graph.truncation_reason)
-    first_with: dict[int, frozenset[CanonicalConfig]] = {}
-    for component in bottom_sccs(graph):
-        values = opinions(protocol, component)
+    first_with: dict[int, list[int]] = {}
+    for component in _bottoms(graph):
+        values = _opinions_at(protocol, graph, component)
         if len(values) != 1:
-            return OutputClass(Verdict.NO_OUTPUT, component=component)
+            return OutputClass(Verdict.NO_OUTPUT, component=frozenset(map(graph._node, component)))
         first_with.setdefault(values.pop(), component)
     if set(first_with) == {0}:
         return OutputClass(Verdict.OUT0)
     if set(first_with) == {1}:
         return OutputClass(Verdict.OUT1)
-    return OutputClass(Verdict.NO_OUTPUT, component=first_with.get(0))
+    deciding = first_with.get(0)
+    members = None if deciding is None else frozenset(map(graph._node, deciding))
+    return OutputClass(Verdict.NO_OUTPUT, component=members)
+
+
+def _opinions_at(protocol: Protocol, graph: ReachGraph, ids: list[int]) -> set[int]:
+    """The opinions at these nodes of graph, read through the rank -> output
+    list when graph was explored under protocol."""
+    packing = graph._packing
+    if packing is None or packing.protocol is not protocol:
+        return opinions(protocol, map(graph._node, ids))
+    outputs, keys = packing.outputs, graph._keys
+    values = {outputs[r] for v in ids for column in keys[v] for r in column[::2]}
+    if None in values:
+        state = next(packing.names[r] for v in ids for column in keys[v] for r in column[::2] if outputs[r] is None)
+        raise UdppError(f"state '{state}' has no output value")
+    return values
 
 
 def classify_output(
@@ -459,7 +348,7 @@ def check_well_specification(
             classes.setdefault(histogram, []).append(canon)
         by_start: dict[CanonicalConfig, OutputClass] = {}
         for members in classes.values():
-            steps: dict[CanonicalConfig, tuple[CanonicalConfig, ...]] = {}
+            steps: dict[Packed, tuple[Packed, ...]] = {}
             for canon in members:
                 graph = explore(protocol, canon.representative(), limits, steps=steps)
                 oc = classify_graph(protocol, graph)
@@ -496,39 +385,6 @@ def random_fair_run(
         current = fire(protocol, current, instance)
         steps.append((instance, current))
     return Trace(start, tuple(steps))
-
-
-def _path_into(
-    graph: ReachGraph, source: CanonicalConfig, targets: frozenset[CanonicalConfig]
-) -> list[CanonicalConfig] | None:
-    """Breadth-first: a shortest node path of at least one edge from source
-    into targets, or None if there is none."""
-    parent: dict[CanonicalConfig, CanonicalConfig | None] = {source: None}
-    queue: deque[CanonicalConfig] = deque([source])
-    while queue:
-        node = queue.popleft()
-        for succ in graph.edges[node]:
-            if succ in targets:
-                path = [succ, node]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            if succ not in parent:
-                parent[succ] = node
-                queue.append(succ)
-    return None
-
-
-def shortest_path(
-    graph: ReachGraph, source: CanonicalConfig, targets: frozenset[CanonicalConfig]
-) -> list[CanonicalConfig] | None:
-    """Shortest node path from source into targets, or None if unreachable."""
-    return [source] if source in targets else _path_into(graph, source, targets)
-
-
-def cycle_through(graph: ReachGraph, node: CanonicalConfig) -> list[CanonicalConfig] | None:
-    """A shortest nonempty cycle node -> ... -> node, or None when there is none."""
-    return _path_into(graph, node, frozenset([node]))
 
 
 def concretize_path(

@@ -1,0 +1,404 @@
+"""Orbit graphs in a packed, integer form.
+
+An orbit node is a configuration up to color renaming, a
+:class:`CanonicalConfig`. The explorer steps a packed form of it, written
+over a state -> rank table that each protocol builds once (:class:`_Packing`);
+a :class:`ReachGraph` numbers its nodes in discovery order and keeps its
+edges in compressed sparse rows, so that Tarjan's algorithm and the path
+searches run on ints. A node is decoded to a CanonicalConfig only when it is
+read.
+"""
+
+from __future__ import annotations
+
+import weakref
+from array import array
+from collections import deque
+from collections.abc import Hashable, Iterable, Iterator, Mapping
+from functools import cached_property
+from itertools import chain
+
+from .core import Configuration, Guard, Protocol, StateId, UdppError
+
+Column = tuple[tuple[StateId, int], ...]
+# A packed column is the flat int tuple (rank, count, rank, count, ...) of a
+# column, a packed node the sorted tuple of its packed columns (see _Packing).
+Packed = tuple[tuple[int, ...], ...]
+
+
+class TruncatedGraph(UdppError):
+    """Raised when an analysis needs a complete graph but got a truncated one."""
+
+
+class CanonicalConfig(tuple[Column, ...]):
+    """A configuration up to color renaming: its signature, the sorted tuple
+    of per-color columns, each column being the sorted (state, count) pairs
+    carried by one color. Two configurations canonicalize equal exactly when
+    some color bijection maps one onto the other. Hash and equality are the
+    tuple's.
+    """
+
+    __slots__ = ()
+
+    def active_states(self) -> frozenset[StateId]:
+        return frozenset(q for column in self for q, _ in column)
+
+    def representative(self) -> Configuration:
+        """A concrete member of the orbit, using colors 0, 1, ..."""
+        return Configuration({(q, i): n for i, column in enumerate(self) for q, n in column})
+
+    def __str__(self) -> str:
+        if not self:
+            return "{}"
+        return "+".join("{" + ",".join(f"{q}:{n}" for q, n in column) + "}" for column in self)
+
+
+def canonicalize(config: Configuration) -> CanonicalConfig:
+    """Canonical form; invariant under any bijective recoloring."""
+    per_color: dict[int, list[tuple[StateId, int]]] = {}
+    for (state, color), count in config.items():
+        per_color.setdefault(color, []).append((state, count))
+    return CanonicalConfig(sorted(tuple(column) for column in per_color.values()))
+
+
+class _Packing:
+    """A protocol in the explorer's integer form.
+
+    Each state gets its rank among the sorted names of the protocol's
+    states: the declared and initial ones, those its rules name, and the
+    extra states of a start that holds undeclared ones. A column packs to the
+    flat tuple (rank, count, rank, count, ...) and a signature to the tuple
+    of its packed columns. Ranks follow the names, so packed columns and
+    nodes compare and sort exactly as their decoded forms do.
+
+    A move takes one agent from each state of a tuple and gives one to each
+    state of another; ``moves[key]`` is the (take, give) pair of a move. A
+    rule packs, once and when first used, to (is EQ, p, p', key, key'): an
+    EQ rule moves both agents of one column at once (key' is key), a NEQ
+    rule the agent at p by key and the one at p' by key'.
+    """
+
+    def __init__(self, protocol: Protocol, extra: frozenset[StateId]) -> None:
+        named = {q for rule in protocol.rules for q in (*rule.pre, *rule.post)}
+        self._protocol = weakref.ref(protocol)  # the protocol caches its packing
+        self.extra = extra
+        self.names = sorted(named.union(protocol.states, protocol.initial, extra))
+        self.ranks = {q: r for r, q in enumerate(self.names)}
+        self.moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._keys: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # move -> its key
+        self._rules: dict[int, tuple[bool, int, int, int, int]] = {}  # by rule position
+        self._within: dict[frozenset[int], tuple[tuple[bool, int, int, int, int], ...]] = {}
+        self._columns = _Columns(self.names)
+
+    @property
+    def protocol(self) -> Protocol:
+        return self._protocol()
+
+    def rules_within(self, active: frozenset[int]) -> tuple[tuple[bool, int, int, int, int], ...]:
+        """The packed rules whose two pre-states are ranked in active, in
+        position order, memoised per active set; a miss asks
+        :meth:`Protocol._positions_within` for the names."""
+        rules = self._within.get(active)
+        if rules is None:
+            positions = self.protocol._positions_within(self.names[r] for r in active)
+            rules = self._within[active] = tuple(map(self._packed, positions))
+        return rules
+
+    def _packed(self, position: int) -> tuple[bool, int, int, int, int]:
+        packed = self._rules.get(position)
+        if packed is None:
+            rule = self.protocol.rules[position]
+            (p, p2), (q, q2) = [self.ranks[s] for s in rule.pre], [self.ranks[s] for s in rule.post]
+            if rule.guard is Guard.EQ:
+                key = key2 = self._key(((p, p2), (q, q2)))
+            else:
+                key, key2 = self._key(((p,), (q,))), self._key(((p2,), (q2,)))
+            packed = self._rules[position] = (rule.guard is Guard.EQ, p, p2, key, key2)
+        return packed
+
+    def _key(self, move: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+        key = self._keys.get(move)
+        if key is None:
+            key = self._keys[move] = len(self.moves)
+            self.moves.append(move)
+        return key
+
+    @cached_property
+    def outputs(self) -> list[int | None]:
+        """rank -> the output of its state; None for a state without one."""
+        return [self.protocol.output.get(q) for q in self.names]
+
+    def encode(self, canon: CanonicalConfig) -> Packed:
+        ranks = self.ranks
+        return tuple(tuple(x for q, n in column for x in (ranks[q], n)) for column in canon)
+
+    def decode(self, node: Packed) -> CanonicalConfig:
+        return CanonicalConfig(map(self._columns.__getitem__, node))
+
+
+class _Columns(dict):
+    """packed column -> column, decoded on first lookup."""
+
+    def __init__(self, names: list[StateId]) -> None:
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, column: tuple[int, ...]) -> Column:
+        decoded = self[column] = tuple(zip(map(self.names.__getitem__, column[::2]), column[1::2]))
+        return decoded
+
+
+def _packing(protocol: Protocol, states: Iterable[StateId] = ()) -> _Packing:
+    """protocol's packing, built once; one that also ranks states when some
+    of them are not the protocol's own, built once per such set."""
+    packings: dict[frozenset[StateId], _Packing] = protocol._packings
+    if not packings:
+        packings[frozenset()] = _Packing(protocol, frozenset())
+    extra = frozenset(q for q in states if q not in packings[frozenset()].ranks)
+    if extra not in packings:
+        packings[extra] = _Packing(protocol, extra)
+    return packings[extra]
+
+
+class ReachGraph:
+    """Forward closure over canonical forms: nodes 0, 1, ... in discovery
+    order, so the root, expanded first, is node 0, and node v's successors
+    are the node ids ``targets[offsets[v]:offsets[v + 1]]``, in edge order.
+
+    Without a truncation reason the node set is closed under firing and
+    deadlocked nodes are exactly those without successors. With one, some
+    node went unexpanded and no closure property holds.
+
+    A graph built from an edges mapping (node -> its successors; the keys,
+    in order, are the nodes) keeps those nodes. A graph from :func:`explore`
+    keeps packed nodes and decodes one to a :class:`CanonicalConfig` when
+    ``edges``, ``nodes``, ``root`` or a component first reads it; the
+    analyses run on ids and decode nothing else.
+    """
+
+    __slots__ = ("truncation_reason", "_keys", "_offsets", "_targets", "_packing", "_decoded", "_ids", "_edges")
+
+    def __init__(
+        self,
+        edges: Mapping[Hashable, Iterable[Hashable]],
+        *,
+        truncation_reason: str | None = None,
+    ) -> None:
+        keys = list(edges)
+        ids = {node: i for i, node in enumerate(keys)}
+        offsets, targets = array("q", [0]), array("q")
+        for node in keys:
+            targets.extend(ids[w] for w in edges[node])
+            offsets.append(len(targets))
+        self._fill(keys, offsets, targets, None, truncation_reason)
+        self._ids = ids
+
+    @classmethod
+    def _explored(
+        cls, keys: list[Packed], offsets: array, targets: array, packing: _Packing, reason: str | None
+    ) -> ReachGraph:
+        graph = cls.__new__(cls)
+        graph._fill(keys, offsets, targets, packing, reason)
+        return graph
+
+    def _fill(self, keys: list, offsets: array, targets: array, packing: _Packing | None, reason: str | None) -> None:
+        self._keys, self._offsets, self._targets, self._packing = keys, offsets, targets, packing
+        self.truncation_reason = reason
+        self._decoded: dict[int, CanonicalConfig] = {}
+        self._ids: dict | None = None
+        self._edges: dict | None = None
+
+    def _node(self, v: int) -> CanonicalConfig:
+        """Node v, decoded once."""
+        if self._packing is None:
+            return self._keys[v]
+        node = self._decoded.get(v)
+        if node is None:
+            node = self._decoded[v] = self._packing.decode(self._keys[v])
+        return node
+
+    def _id(self, node: CanonicalConfig) -> int:
+        if self._ids is None:
+            self._ids = {key: i for i, key in enumerate(self._keys)}
+        return self._ids[node if self._packing is None else self._packing.encode(node)]
+
+    def _successors(self, v: int) -> array:
+        return self._targets[self._offsets[v] : self._offsets[v + 1]]
+
+    @property
+    def edges(self) -> Mapping[CanonicalConfig, tuple[CanonicalConfig, ...]]:
+        """node -> its successors, in discovery order."""
+        if self._edges is None:
+            node = self._node
+            self._edges = {
+                node(v): tuple(map(node, self._successors(v))) for v in range(len(self._keys))
+            }
+        return self._edges
+
+    @property
+    def root(self) -> CanonicalConfig:
+        return self._node(0)
+
+    @property
+    def nodes(self) -> tuple[CanonicalConfig, ...]:
+        return tuple(self.edges)
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_reason is not None
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+class _Memo(dict):
+    """packed column -> its :class:`_Rewrites`, made on first lookup."""
+
+    def __init__(self, moves: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
+        super().__init__()
+        self.moves = moves
+
+    def __missing__(self, column: tuple[int, ...]) -> _Rewrites:
+        rewrites = self[column] = _Rewrites(column, self.moves)
+        return rewrites
+
+
+class _Rewrites(dict):
+    """move key -> one packed column after that move (see :class:`_Packing`),
+    or False when the column lacks an agent to take; computed on first
+    lookup."""
+
+    def __init__(self, column: tuple[int, ...], moves: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
+        super().__init__()
+        self.column, self.moves = column, moves
+
+    def __missing__(self, key: int) -> tuple[int, ...] | bool:
+        take, give = self.moves[key]
+        counts = dict(zip(self.column[::2], self.column[1::2]))
+        for r in take:
+            left = counts.get(r, 0)
+            if not left:
+                self[key] = False
+                return False
+            counts[r] = left - 1
+        for r in give:
+            counts[r] = counts.get(r, 0) + 1
+        for r in take:
+            if counts.get(r) == 0:
+                del counts[r]
+        after = self[key] = tuple(chain.from_iterable(sorted(counts.items())))
+        return after
+
+
+def _bottom_components(offsets: array, targets: array) -> list[list[int]]:
+    """The strongly connected components that no edge leaves, of the graph
+    on nodes 0, 1, ... where node v's successors are
+    ``targets[offsets[v]:offsets[v + 1]]``. Iterative Tarjan, starting from
+    the nodes in order, gives them in the reverse topological order in which
+    it completes them.
+
+    A node whose component is complete gets the index ``done``, above every
+    live one, so one comparison tells an edge back into the stack from an
+    edge into a complete component, which leaves the current one. So does a
+    tree edge to a child that roots its own component. Every other member of
+    a component passes what it has seen to its parent, up to the root.
+    """
+    n = len(offsets) - 1
+    done = n
+    index = [-1] * n
+    low = [0] * n
+    leaves = bytearray(n)  # 1 once v's component is seen to have an edge out
+    stack: list[int] = []
+    bottoms: list[list[int]] = []
+    visited = 0
+    for start in range(n):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = visited
+        visited += 1
+        stack.append(start)
+        work: list[tuple[int, Iterator[int]]] = [(start, iter(targets[offsets[start] : offsets[start + 1]]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                i = index[w]
+                if i < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    work.append((w, iter(targets[offsets[w] : offsets[w + 1]])))
+                    break
+                if i < low[v]:
+                    low[v] = i
+                elif i == done:
+                    leaves[v] = 1
+            else:  # every successor of v is done
+                work.pop()
+                root = low[v] == index[v]
+                if root:  # pop v's component off the stack
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for w in component:
+                        index[w] = done
+                    if not leaves[v]:
+                        bottoms.append(component)
+                if work:
+                    parent = work[-1][0]
+                    if root or leaves[v]:
+                        leaves[parent] = 1
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+    return bottoms
+
+
+def _bottoms(graph: ReachGraph) -> list[list[int]]:
+    """The node ids of each bottom component, in Tarjan's order. Requires a
+    complete graph; truncated input raises :class:`TruncatedGraph`."""
+    if graph.truncated:
+        raise TruncatedGraph(graph.truncation_reason)
+    return _bottom_components(graph._offsets, graph._targets)
+
+
+def bottom_sccs(graph: ReachGraph) -> list[frozenset[CanonicalConfig]]:
+    """Strongly connected components with no edge leaving the component.
+
+    A deadlock node is a singleton bottom component. Requires a complete
+    graph; truncated input raises :class:`TruncatedGraph`.
+    """
+    return [frozenset(map(graph._node, component)) for component in _bottoms(graph)]
+
+
+def _path_into(
+    graph: ReachGraph, source: CanonicalConfig, targets: frozenset[CanonicalConfig]
+) -> list[CanonicalConfig] | None:
+    """Breadth-first over node ids: a shortest node path of at least one
+    edge from source into targets, all nodes of graph, or None if there is
+    none."""
+    start, ends = graph._id(source), {graph._id(node) for node in targets}
+    parent: dict[int, int] = {start: -1}
+    queue: deque[int] = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in graph._successors(v):
+            if w in ends:
+                path = [w, v]
+                while parent[path[-1]] >= 0:
+                    path.append(parent[path[-1]])
+                return [graph._node(u) for u in reversed(path)]
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return None
+
+
+def shortest_path(
+    graph: ReachGraph, source: CanonicalConfig, targets: frozenset[CanonicalConfig]
+) -> list[CanonicalConfig] | None:
+    """Shortest node path from source into targets, or None if unreachable."""
+    return [source] if source in targets else _path_into(graph, source, targets)
+
+
+def cycle_through(graph: ReachGraph, node: CanonicalConfig) -> list[CanonicalConfig] | None:
+    """A shortest nonempty cycle node -> ... -> node, or None when there is none."""
+    return _path_into(graph, node, frozenset([node]))

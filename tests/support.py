@@ -68,9 +68,16 @@ def seesaw_configs() -> tuple[Configuration, Configuration, Configuration]:
     return c0, c1, c2
 
 
-def random_protocol(rng: random.Random, max_states: int = 4, max_rules: int = 3) -> Protocol:
-    n = rng.randint(1, max_states)
-    states = tuple(f"s{i}" for i in range(n))
+def random_protocol(
+    rng: random.Random, max_states: int = 4, max_rules: int = 3, names: tuple[str, ...] | None = None
+) -> Protocol:
+    """A random protocol on the states s0, s1, ..., or on a random selection
+    of names, declared in random order, when names are given."""
+    if names is None:
+        states = tuple(f"s{i}" for i in range(rng.randint(1, max_states)))
+    else:
+        states = tuple(rng.sample(names, rng.randint(1, min(max_states, len(names)))))
+    n = len(states)
     rules = []
     for _ in range(rng.randint(0, max_rules)):
         pre = (rng.choice(states), rng.choice(states))

@@ -1,8 +1,12 @@
+import os
+import time
 from pathlib import Path
 
 import pytest
 
+from udpp import cli
 from udpp.cli import main
+from udpp.exploration import explore
 from udpp.formats import parse_configuration, parse_trace
 from udpp.reduction import compile_machine
 from udpp.counter import CounterMachine, Halt
@@ -392,6 +396,33 @@ def test_classify_by_certificate(capsys, tmp_path):
     assert code == 3
     assert out.splitlines()[0] == "NoOutput"
     assert "certified by a scripted run" in out
+
+
+@pytest.mark.skipif(os.environ.get("UDPP_SLOW") != "1", reason="explores 832,461 nodes; set UDPP_SLOW=1")
+def test_exploration_alone_confirms_the_sigma_certificate_on_the_smallest_witness(capsys, tmp_path, monkeypatch):
+    # the halting direction of the reduction, checked by exploration and by
+    # the scripted replay independently, on halt.cm with k=1
+    started = time.perf_counter()
+    pp_file, cfg_file = tmp_path / "halt.pp", tmp_path / "halt.cfg"
+    run(capsys, "compile", SAMPLES / "halt.cm", "--out", pp_file)
+    run(capsys, "witness", SAMPLES / "halt.cm", "--k", 1, "--out", cfg_file)
+    graphs = []
+
+    def recording(*args):
+        graphs.append(explore(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(cli, "explore", recording)
+    code, out, _ = run(capsys, "classify", pp_file, cfg_file, "--max-nodes", 1_000_000)
+    [graph] = graphs
+    assert not graph.truncated and len(graph) == 832_461 and len(graph._targets) == 4_466_200
+    assert code == 3 and out.startswith("NoOutput\n# evidence: ")
+    code, sigma, _ = run(capsys, "classify", pp_file, cfg_file, "--certificate", "sigma", "--machine", SAMPLES / "halt.cm")
+    assert code == 3 and sigma.splitlines()[0] == "NoOutput"
+    assert time.perf_counter() - started <= 60
+    import resource  # POSIX only
+
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss <= 600 * 1024  # KiB on Linux
 
 
 def test_certificate_replay_failure_is_inconclusive(capsys, tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from support import (
     random_protocol,
     raw_output_verdict,
     seesaw_configs,
+    seesaw_protocol,
 )
 from udpp.core import Configuration, Guard, Protocol, Rule, UdppError
 from udpp.exploration import (
@@ -32,6 +35,7 @@ from udpp.exploration import (
     bottom_sccs,
     canonicalize,
     check_well_specification,
+    classify_graph,
     classify_output,
     concretize_path,
     cycle_through,
@@ -41,6 +45,7 @@ from udpp.exploration import (
     shortest_path,
 )
 from udpp.formats import format_trace, parse_configuration, parse_machine, parse_protocol
+from udpp.graph import _packing
 from udpp.reduction import RES1, RES2, compile_machine, tagged
 
 LIMITS = ExplorationLimits(max_nodes=10_000)
@@ -217,6 +222,53 @@ def test_explore_matches_the_oracle_on_random_protocols():
         limits = ExplorationLimits(max_depth=rng.randint(0, 3))
         by_depth += _same_as_oracle(protocol, start, limits).truncated
     assert min(by_nodes, by_depth) >= 100
+
+
+def test_an_explored_protocol_is_freed_without_the_cycle_collector(seesaw_runs):
+    # the protocol caches its packed form, which must not point back at it
+    protocol = seesaw_protocol()
+    graph = explore(protocol, seesaw_runs[0], LIMITS)
+    assert classify_graph(protocol, graph).verdict is Verdict.NO_OUTPUT
+    alive = weakref.ref(protocol)
+    gc.disable()
+    try:
+        del protocol, graph
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+# Sorted by name these read B, Zed, apple, s10, s9, Äpfel, ß, éclair: code
+# points, so neither declaration order nor a natural or case-blind order.
+TANGLED_NAMES = ("s9", "s10", "apple", "Zed", "B", "éclair", "Äpfel", "ß")
+
+
+def test_explore_ranks_states_by_sorted_name_not_declaration_order():
+    rng = random.Random(173)
+    shuffled = by_nodes = by_depth = 0
+    for _ in range(600):
+        protocol = random_protocol(rng, max_states=6, max_rules=5, names=TANGLED_NAMES)
+        shuffled += list(protocol.states) != sorted(protocol.states)
+        start = random_config(rng, protocol.states, max_agents=6, max_colors=4)
+        _same_as_oracle(protocol, start, ExplorationLimits())
+        limits = ExplorationLimits(max_nodes=rng.randint(1, 6))
+        by_nodes += _same_as_oracle(protocol, start, limits).truncated
+        limits = ExplorationLimits(max_depth=rng.randint(0, 3))
+        by_depth += _same_as_oracle(protocol, start, limits).truncated
+    assert shuffled >= 400 and min(by_nodes, by_depth) >= 60
+
+
+def test_a_start_state_the_protocol_does_not_name_is_inert(seesaw, seesaw_runs):
+    # "a" sorts before both declared states and "pz" between them, so the
+    # exploration ranks p and q differently from the protocol's own packing
+    start = Configuration({**dict(seesaw_runs[0].items()), ("a", 1): 1, ("pz", 0): 2, ("pz", 2): 1})
+    alone = _same_as_oracle(seesaw, start, LIMITS)
+    assert len(alone) == 3 and all("pz" in node.active_states() for node in alone.nodes)
+    steps: dict = {}
+    shared = explore(seesaw, start, LIMITS, steps=steps)
+    assert list(shared.edges.items()) == list(alone.edges.items()) and steps == {}
+    with pytest.raises(UdppError, match="^state '(a|pz)' has no output value$"):
+        classify_output(seesaw, start, LIMITS)
 
 
 def _one_rule(rule: Rule, states=("p", "q", "r", "s", "t")) -> Protocol:
@@ -599,7 +651,8 @@ def test_explorations_sharing_one_table_match_table_free_ones(seesaw):
         (largest[0], ExplorationLimits(max_nodes=3), "node budget exceeded (max_nodes=3)"),
         (largest[1], ExplorationLimits(max_depth=1), "depth budget exceeded (max_depth=1)"),
     ] + [(canon, LIMITS, None) for canon in members]
-    steps: dict = {}
+    steps: dict = {}  # packed nodes, decoded below
+    decode = _packing(seesaw).decode
     expanded = set()
     for canon, limits, reason in jobs:
         shared = explore(seesaw, canon.representative(), limits, steps=steps)
@@ -608,9 +661,10 @@ def test_explorations_sharing_one_table_match_table_free_ones(seesaw):
         assert shared.root == alone.root == canon
         assert shared.truncation_reason == alone.truncation_reason == reason
         if reason is None:  # an untrimmed graph shows every node's full entry
-            assert all(steps[node] == succs for node, succs in alone.edges.items())
+            table = {decode(node): tuple(map(decode, succs)) for node, succs in steps.items()}
+            assert all(table[node] == succs for node, succs in alone.edges.items())
             expanded.update(alone.edges)
-    assert len(members) == 24 and set(steps) == expanded
+    assert len(members) == 24 and set(table) == expanded
 
 
 def test_sweep_report_lines_shape(seesaw):
