@@ -187,10 +187,10 @@ class Protocol:
         return {}
 
     @cached_property
-    def _packings(self) -> dict:
-        """The explorer's integer forms of this protocol, filled by
-        graph._packing."""
-        return {}
+    def _packing_slot(self) -> list:
+        """Holds the explorer's integer form of this protocol once
+        graph._packing has built it."""
+        return []
 
     @cached_property
     def _positions_by_pre(self) -> dict[StateId, list[int]]:

@@ -26,6 +26,7 @@ from itertools import combinations_with_replacement, groupby
 from .core import (
     Configuration,
     Protocol,
+    StateId,
     Trace,
     TransitionInstance,
     UdppError,
@@ -39,10 +40,9 @@ from .graph import (
     Packed,
     ReachGraph,
     TruncatedGraph,
-    _Memo,
-    _Packing,
     _bottoms,
     _packing,
+    _successors,
     bottom_sccs,
     canonicalize,
     cycle_through,
@@ -75,9 +75,11 @@ def explore(
 ) -> ReachGraph:
     """Breadth-first closure of canonical forms under all enabled instances.
 
-    Successors come from :func:`_successors`, which steps packed signatures
-    directly; each node's successors are in the order in which firing the
-    enabled instances of its representative first reaches them.
+    Successors come from :func:`graph._successors`, which steps packed
+    signatures directly over the protocol's one packing and its memos; each
+    node's successors are in the order in which firing the enabled instances
+    of its representative first reaches them. A start holding a state that
+    the protocol does not name raises :class:`UdppError`.
 
     Hitting a budget flags the graph as truncated instead of raising; the
     partial graph still records every edge between discovered, expanded nodes.
@@ -87,15 +89,15 @@ def explore(
     stored on a miss. An entry always holds the node's full successor tuple;
     the budgets trim what this exploration keeps, never what the table holds.
     An entry is a function of the protocol and the node alone, so a table
-    may be shared only between explorations of one protocol; a start with
-    states the protocol does not name explores without it. Firing keeps
+    may be shared only between explorations of one protocol. Firing keeps
     every colour's agent count, so only starts with the same sorted colour
     histogram can meet a common node; sharing a table beyond them only grows
-    it. A state the protocol does not name is inert.
+    it.
     """
-    packing = _packing(protocol, start.active_states())
-    if packing.extra:
-        steps = None  # its entries are packed with the protocol's own ranks
+    packing = _packing(protocol)
+    unknown = start.active_states() - packing.ranks.keys()
+    if unknown:
+        raise UdppError(f"start holds states the protocol does not name: {', '.join(sorted(unknown))}")
     root = packing.encode(canonicalize(start))
     found: dict[Packed, int] = {root: 0}  # node -> its id
     order: list[Packed] = [root]  # id -> node
@@ -103,14 +105,13 @@ def explore(
     offsets, targets = array("q", [0]), array("q")
     link = targets.append
     reasons: dict[str, str] = {}  # budget -> message, in the order first hit
-    memo = _Memo(packing.moves)
     for node, depth in zip(order, depths):  # both grow as nodes are found: the breadth-first queue
         if steps is None:
-            nexts = _successors(packing, node, memo)
+            nexts = _successors(packing, node)
         else:
             nexts = steps.get(node)
             if nexts is None:
-                nexts = steps[node] = tuple(_successors(packing, node, memo))
+                nexts = steps[node] = tuple(_successors(packing, node))
         if nexts and limits.max_depth is not None and depth >= limits.max_depth:
             reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
             nexts = ()
@@ -128,74 +129,19 @@ def explore(
     return ReachGraph._explored(order, offsets, targets, packing, "; ".join(reasons.values()) or None)
 
 
-def _successors(packing: _Packing, node: Packed, memo: _Memo) -> dict[Packed, None]:
-    """The packed nodes reached by one enabled instance from node, each
-    once, in the order in which firing the instances of its representative
-    (rule position, then d, then e) first reaches them.
-
-    Equal columns sit next to each other and form a class. Swapping two
-    colors of a class fixes the configuration, so an instance's successor
-    depends only on its rule and on the classes of d and e. The first
-    instance of a rule with d in class c and e in class c2 takes the first
-    color of each class (for e, the second one when c2 is c), and these
-    first instances come in the order of (c, c2). Trying the classes in that
-    order therefore meets each successor where firing meets it first.
-
-    memo holds each column's rewrites for one exploration, fetched once per
-    class and keyed by the packed rules' move keys (see :class:`_Packing`).
-
-    These class loops are kept apart from :func:`core._candidates` and
-    :func:`core._apply` on purpose (measured on CPython 3.11.7, 2 cores):
-    feeding both from one shared pair enumerator made ``explore`` on the
-    count4 5/5 start take 0.29 s instead of 0.22 s, and storing
-    configurations as per-colour columns, so that firing and :class:`_Rewrites`
-    share one rewrite, slowed the seeded scheduler by 8-21 %.
-    """
-    firsts: list[int] = []  # per class: its first color
-    sizes: list[int] = []  # per class: its number of colors
-    rewrites: list[_Rewrites] = []  # per class: its column's rewrites
-    at: dict[int, list[int]] = {}  # rank -> the classes holding it, ascending
-    previous = None
-    for color, column in enumerate(node):
-        if column == previous:
-            sizes[-1] += 1
-            continue
-        previous = column
-        for r in column[::2]:
-            at.setdefault(r, []).append(len(firsts))
-        firsts.append(color)
-        sizes.append(1)
-        rewrites.append(memo[column])
-
-    out: dict[Packed, None] = {}
-    for eq, p, p2, key, key2 in packing.rules_within(frozenset(at)):
-        if eq:
-            for c in at[p]:
-                after = rewrites[c][key]
-                if after:
-                    columns = list(node)
-                    columns[firsts[c]] = after
-                    columns.sort()
-                    out[tuple(columns)] = None
-        else:
-            for c in at[p]:
-                d = firsts[c]
-                after = rewrites[c][key]
-                for c2 in at[p2]:
-                    if c == c2 and sizes[c] < 2:
-                        continue
-                    columns = list(node)
-                    columns[d] = after
-                    columns[firsts[c2] + (c == c2)] = rewrites[c2][key2]
-                    columns.sort()
-                    out[tuple(columns)] = None
-    return out
-
-
 def opinions(protocol: Protocol, configs: Iterable[Configuration | CanonicalConfig]) -> set[int]:
     """The opinions present in these configurations: the outputs of their
     active states."""
-    return {protocol.output[q] for config in configs for q in config.active_states()}
+    return _outputs(protocol, {q for config in configs for q in config.active_states()})
+
+
+def _outputs(protocol: Protocol, states: set[StateId]) -> set[int]:
+    """The outputs of these states; a state without one raises
+    :class:`UdppError`."""
+    missing = states - protocol.output.keys()
+    if missing:
+        raise UdppError(f"state '{min(missing)}' has no output value")
+    return {protocol.output[q] for q in states}
 
 
 class Verdict(Enum):
@@ -227,7 +173,7 @@ def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
         return OutputClass(Verdict.UNKNOWN, graph.truncation_reason)
     first_with: dict[int, list[int]] = {}
     for component in _bottoms(graph):
-        values = _opinions_at(protocol, graph, component)
+        values = _outputs(protocol, graph._states_at(component))
         if len(values) != 1:
             return OutputClass(Verdict.NO_OUTPUT, component=frozenset(map(graph._node, component)))
         first_with.setdefault(values.pop(), component)
@@ -238,20 +184,6 @@ def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
     deciding = first_with.get(0)
     members = None if deciding is None else frozenset(map(graph._node, deciding))
     return OutputClass(Verdict.NO_OUTPUT, component=members)
-
-
-def _opinions_at(protocol: Protocol, graph: ReachGraph, ids: list[int]) -> set[int]:
-    """The opinions at these nodes of graph, read through the rank -> output
-    list when graph was explored under protocol."""
-    packing = graph._packing
-    if packing is None or packing.protocol is not protocol:
-        return opinions(protocol, map(graph._node, ids))
-    outputs, keys = packing.outputs, graph._keys
-    values = {outputs[r] for v in ids for column in keys[v] for r in column[::2]}
-    if None in values:
-        state = next(packing.names[r] for v in ids for column in keys[v] for r in column[::2] if outputs[r] is None)
-        raise UdppError(f"state '{state}' has no output value")
-    return values
 
 
 def classify_output(

@@ -89,6 +89,11 @@ def random_protocol(
     return Protocol.make(states, rules, initial, output)
 
 
+def fresh_copy(protocol: Protocol) -> Protocol:
+    """An equal protocol that carries none of the original's memos."""
+    return Protocol.make(protocol.states, protocol.rules, protocol.initial, protocol.output)
+
+
 @cache
 def compiled_witness(sample: str, k: int) -> tuple[Protocol, Configuration]:
     """The protocol compiled from the counter machine in samples/<sample>
@@ -330,9 +335,11 @@ def per_start_sweep(
     protocol: Protocol, max_agents: int, max_colors: int, limits: ExplorationLimits
 ) -> WellSpecReport:
     """The bounded sweep with one table-free classify_output per start, in
-    signature order per agent count, and the same overall call."""
+    signature order per agent count, and the same overall call. Each start
+    runs on a fresh copy of the protocol, so it shares none of the memos
+    that the sweep under test keeps on the protocol."""
     entries = tuple(
-        (canon, classify_output(protocol, canon.representative(), limits))
+        (canon, classify_output(fresh_copy(protocol), canon.representative(), limits))
         for n in range(1, max_agents + 1)
         for canon in enumerate_initial_configs(protocol, n, max_colors)
     )

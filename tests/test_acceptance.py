@@ -265,7 +265,7 @@ def test_criterion_7_verdicts_are_scoped_and_budgets_are_honest():
         # with room to explore, the starved protocol settles
         settled = check_well_specification(grower, 3, 2, ExplorationLimits(max_nodes=1000))
         assert settled.verdict == "well-specified-up-to-bounds"
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         assert "inconclusive" in readme
         assert "up to the given agent and color bounds" in readme
         assert "undecidable" in readme

@@ -32,8 +32,8 @@ SEESAW_CFG = "agent p 0 2\nagent q 1 1\n"
 def seesaw_files(tmp_path):
     pp = tmp_path / "seesaw.pp"
     cfg = tmp_path / "seesaw.cfg"
-    pp.write_text(SEESAW_PP)
-    cfg.write_text(SEESAW_CFG)
+    pp.write_text(SEESAW_PP, encoding="utf-8")
+    cfg.write_text(SEESAW_CFG, encoding="utf-8")
     return pp, cfg
 
 
@@ -45,7 +45,7 @@ def run(capsys, *argv):
 
 def test_cm_run_halts(capsys, tmp_path):
     machine = tmp_path / "m.cm"
-    machine.write_text("halt\n")
+    machine.write_text("halt\n", encoding="utf-8")
     code, out, _ = run(capsys, "cm-run", machine)
     assert code == 0 and out == "halted after 0 steps\n"
 
@@ -62,7 +62,7 @@ def test_cm_run_still_running(capsys):
 
 def test_cm_run_parse_error(capsys, tmp_path):
     machine = tmp_path / "bad.cm"
-    machine.write_text("jump 3\n")
+    machine.write_text("jump 3\n", encoding="utf-8")
     code, _, err = run(capsys, "cm-run", machine)
     assert code == 1 and "line 1" in err
 
@@ -146,8 +146,8 @@ rule a a eq c c
 def test_classify_conflicting_consensus_evidence(capsys, tmp_path):
     pp = tmp_path / "split.pp"
     cfg = tmp_path / "pair.cfg"
-    pp.write_text(SPLIT_PP)
-    cfg.write_text("agent a 0 2\n")
+    pp.write_text(SPLIT_PP, encoding="utf-8")
+    cfg.write_text("agent a 0 2\n", encoding="utf-8")
     code, out, _ = run(capsys, "classify", pp, cfg)
     assert code == 3
     assert out.splitlines()[0] == "NoOutput"
@@ -158,8 +158,8 @@ def test_classify_conflicting_consensus_evidence(capsys, tmp_path):
 def test_classify_consensus_exit_zero(capsys, tmp_path):
     pp = tmp_path / "quiet.pp"
     cfg = tmp_path / "one.cfg"
-    pp.write_text("state a\ninit a\nout a 1\n")
-    cfg.write_text("agent a 0 1\n")
+    pp.write_text("state a\ninit a\nout a 1\n", encoding="utf-8")
+    cfg.write_text("agent a 0 1\n", encoding="utf-8")
     code, out, _ = run(capsys, "classify", pp, cfg)
     assert code == 0 and out == "Out1\n"
 
@@ -172,9 +172,9 @@ def test_classify_unknown_when_budget_hit(capsys, seesaw_files):
 
 def test_classify_non_initial_exit_five(capsys, tmp_path):
     pp = tmp_path / "two.pp"
-    pp.write_text("state a\nstate b\ninit a\nout a 1\nout b 0\n")
+    pp.write_text("state a\nstate b\ninit a\nout a 1\nout b 0\n", encoding="utf-8")
     cfg = tmp_path / "b.cfg"
-    cfg.write_text("agent b 0 1\n")
+    cfg.write_text("agent b 0 1\n", encoding="utf-8")
     code, _, err = run(capsys, "classify", pp, cfg)
     assert code == 5 and "not initial" in err
 
@@ -182,7 +182,7 @@ def test_classify_non_initial_exit_five(capsys, tmp_path):
 def test_classify_rejects_empty_population(capsys, seesaw_files, tmp_path):
     pp, _ = seesaw_files
     cfg = tmp_path / "empty.cfg"
-    cfg.write_text("# nobody home\n")
+    cfg.write_text("# nobody home\n", encoding="utf-8")
     code, _, err = run(capsys, "classify", pp, cfg)
     assert code == 1 and "at least one agent" in err
 
@@ -190,7 +190,7 @@ def test_classify_rejects_empty_population(capsys, seesaw_files, tmp_path):
 def test_classify_unknown_state_in_config(capsys, seesaw_files, tmp_path):
     pp, _ = seesaw_files
     cfg = tmp_path / "alien.cfg"
-    cfg.write_text("agent z 0 1\n")
+    cfg.write_text("agent z 0 1\n", encoding="utf-8")
     code, _, err = run(capsys, "classify", pp, cfg)
     assert code == 1 and "unknown states z" in err
 
@@ -205,7 +205,7 @@ def test_sweep_seesaw_witness(capsys, seesaw_files):
 
 def test_sweep_trivial_protocol_ok(capsys, tmp_path):
     pp = tmp_path / "quiet.pp"
-    pp.write_text("state a\ninit a\nout a 1\n")
+    pp.write_text("state a\ninit a\nout a 1\n", encoding="utf-8")
     code, out, _ = run(capsys, "sweep", pp, "--max-agents", 2, "--max-colors", 2)
     assert code == 0
     assert out.rstrip().splitlines()[-1] == "verdict: well-specified-up-to-bounds"
@@ -224,7 +224,7 @@ rule a b eq a a
 
 def test_sweep_inconclusive_when_budget_hit(capsys, tmp_path):
     pp = tmp_path / "grower.pp"
-    pp.write_text(GROWER_PP)
+    pp.write_text(GROWER_PP, encoding="utf-8")
     code, out, _ = run(
         capsys, "sweep", pp, "--max-agents", 3, "--max-colors", 2, "--max-nodes", 1
     )
@@ -253,7 +253,7 @@ def test_compile_output_parses_back(capsys, tmp_path):
     assert code == 0
     from udpp.formats import parse_protocol
 
-    compiled = parse_protocol(out_file.read_text())
+    compiled = parse_protocol(out_file.read_text(encoding="utf-8"))
     assert compiled == compile_machine(CounterMachine((Halt(),)))
 
 
@@ -264,7 +264,7 @@ def test_compile_simulate_monitor_pipeline(capsys, tmp_path):
     assert run(capsys, "compile", SAMPLES / "count4.cm", "--out", pp)[0] == 0
     assert run(capsys, "witness", SAMPLES / "count4.cm", "--k", 4, "--out", cfg)[0] == 0
     code, _, _ = run(capsys, "simulate", pp, cfg, "--steps", 150, "--out", trace_file)
-    assert code == 0 and "fire r" in trace_file.read_text()
+    assert code == 0 and "fire r" in trace_file.read_text(encoding="utf-8")
     only = "sink1-removal-discipline,reservoir-no-refill"
     code, out, _ = run(capsys, "monitors", SAMPLES / "count4.cm", trace_file, "--only", only)
     assert code == 0 and out == "0 violations\n"
@@ -274,7 +274,7 @@ def test_witness_replay_monitor_pipeline(capsys, tmp_path):
     witness_file = tmp_path / "halt.cfg"
     code, _, _ = run(capsys, "witness", SAMPLES / "halt.cm", "--k", 1, "--out", witness_file)
     assert code == 0
-    witness = parse_configuration(witness_file.read_text())
+    witness = parse_configuration(witness_file.read_text(encoding="utf-8"))
     assert witness.total() == 30
 
     trace_file = tmp_path / "halt.trace"
@@ -288,7 +288,7 @@ def test_witness_replay_monitor_pipeline(capsys, tmp_path):
         trace_file,
     )
     assert code == 3
-    text = trace_file.read_text()
+    text = trace_file.read_text(encoding="utf-8")
     assert "# terminal: deadlock after" in text
     assert "# active opinions at the deadlock: [0, 1]" in text
     assert "# verdict: NoOutput" in text
@@ -309,7 +309,7 @@ def test_witness_replay_monitor_pipeline(capsys, tmp_path):
 )
 def test_unknown_monitor_names_are_quoted(capsys, tmp_path, only, error):
     trace_file = tmp_path / "empty.trace"
-    trace_file.write_text("")
+    trace_file.write_text("", encoding="utf-8")
     code, out, err = run(capsys, "monitors", SAMPLES / "halt.cm", trace_file, "--only", only)
     assert (code, out, err) == (1, "", error)
 
@@ -319,9 +319,9 @@ def test_replay_defaults_to_building_the_witness(capsys, tmp_path):
     code, _, _ = run(capsys, "replay-sigma", SAMPLES / "count4.cm", "--out", out_file)
     assert code == 3
     protocol = compile_machine(
-        parse_machine_text((SAMPLES / "count4.cm").read_text())
+        parse_machine_text((SAMPLES / "count4.cm").read_text(encoding="utf-8"))
     )
-    trace = parse_trace(protocol, strip_comments(out_file.read_text()))
+    trace = parse_trace(protocol, strip_comments(out_file.read_text(encoding="utf-8")))
     assert len(trace) > 0
 
 
@@ -431,7 +431,7 @@ def test_certificate_replay_failure_is_inconclusive(capsys, tmp_path):
     run(capsys, "compile", SAMPLES / "halt.cm", "--out", pp_file)
     cfg_file = tmp_path / "starved.cfg"
     cfg_file.write_text(
-        "agent R1@R1 0 9\nagent R2@R2 0 1\nagent R1@R1 1 9\nagent R2@R2 1 1\n"
+        "agent R1@R1 0 9\nagent R2@R2 0 1\nagent R1@R1 1 9\nagent R2@R2 1 1\n", encoding="utf-8"
     )
     code, out, _ = run(
         capsys,
@@ -461,15 +461,15 @@ def test_certificate_requires_matching_protocol(capsys, tmp_path):
 
     # the compiled halt protocol matches whatever the order of its lines, but repeats count
     run(capsys, "compile", SAMPLES / "halt.cm", "--out", pp_file)
-    lines = pp_file.read_text().splitlines()
+    lines = pp_file.read_text(encoding="utf-8").splitlines()
     states = [line for line in lines if line.startswith("state ")]
     rules = [line for line in lines if line.startswith("rule ")]
     others = [line for line in lines if not line.startswith(("state ", "rule "))]
     argv = ["classify", pp_file, cfg_file, "--certificate", "sigma", "--machine", SAMPLES / "halt.cm"]
-    pp_file.write_text("\n".join(states[::-1] + others + rules[::-1]) + "\n")
+    pp_file.write_text("\n".join(states[::-1] + others + rules[::-1]) + "\n", encoding="utf-8")
     code, out, _ = run(capsys, *argv)
     assert code == 3 and out.splitlines()[0] == "NoOutput"
-    pp_file.write_text("\n".join(lines + rules[:1]) + "\n")
+    pp_file.write_text("\n".join(lines + rules[:1]) + "\n", encoding="utf-8")
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", "error: protocol file does not match the compiled machine\n")
 
@@ -528,8 +528,8 @@ def test_options_a_command_would_ignore_are_input_errors(capsys, tmp_path, argv,
 def test_machine_without_the_sigma_certificate_is_an_input_error(capsys, tmp_path):
     pp = tmp_path / "zero.pp"
     cfg = tmp_path / "pair.cfg"
-    pp.write_text("state a\ninit a\nout a 0\n")
-    cfg.write_text("agent a 0 2\n")
+    pp.write_text("state a\ninit a\nout a 0\n", encoding="utf-8")
+    cfg.write_text("agent a 0 2\n", encoding="utf-8")
     code, out, err = run(capsys, "classify", pp, cfg, "--machine", SAMPLES / "halt.cm")
     assert (code, out, err) == (1, "", "error: --machine needs --certificate sigma\n")
 
@@ -566,7 +566,7 @@ def test_replay_failures_are_pinned_through_the_cli(capsys, tmp_path, machine, w
     pp_file = tmp_path / "m.pp"
     run(capsys, "compile", SAMPLES / machine, "--out", pp_file)
     cfg_file = tmp_path / "w.cfg"
-    cfg_file.write_text(witness)
+    cfg_file.write_text(witness, encoding="utf-8")
     code, out, err = run(capsys, "replay-sigma", SAMPLES / machine, "--witness", cfg_file)
     assert (code, out, err) == (1, "", f"error: {message}\n")
     argv = ["classify", pp_file, cfg_file, "--certificate", "sigma", "--machine", SAMPLES / machine]
@@ -576,7 +576,7 @@ def test_replay_failures_are_pinned_through_the_cli(capsys, tmp_path, machine, w
 
 def test_replay_of_a_witness_without_an_r2_agent_is_an_input_error(capsys, tmp_path):
     cfg_file = tmp_path / "no-r2.cfg"
-    cfg_file.write_text("agent R1@R1 0 9\n")
+    cfg_file.write_text("agent R1@R1 0 9\n", encoding="utf-8")
     code, out, err = run(capsys, "replay-sigma", SAMPLES / "halt.cm", "--witness", cfg_file)
     assert (code, out, err) == (1, "", "error: start configuration is missing a reservoir\n")
 
@@ -584,7 +584,7 @@ def test_replay_of_a_witness_without_an_r2_agent_is_an_input_error(capsys, tmp_p
 def test_protocol_without_an_output_is_an_input_error(capsys, tmp_path, seesaw_files):
     _, cfg = seesaw_files
     pp = tmp_path / "no-out.pp"
-    pp.write_text(SEESAW_PP.replace("out q 1\n", ""))
+    pp.write_text(SEESAW_PP.replace("out q 1\n", ""), encoding="utf-8")
     code, out, err = run(capsys, "classify", pp, cfg)
     assert (code, out, err) == (1, "", f"error: {pp}: state 'q' has no output value\n")
 
@@ -592,7 +592,7 @@ def test_protocol_without_an_output_is_an_input_error(capsys, tmp_path, seesaw_f
 def test_monitors_flag_a_doctored_trace(capsys, tmp_path):
     trace_file = tmp_path / "halt.trace"
     run(capsys, "replay-sigma", SAMPLES / "halt.cm", "--k", 1, "--out", trace_file)
-    lines = strip_comments(trace_file.read_text()).splitlines()
+    lines = strip_comments(trace_file.read_text(encoding="utf-8")).splitlines()
     # double one agent count in the final configuration block
     for i in range(len(lines) - 1, -1, -1):
         if lines[i].startswith("agent "):
@@ -600,7 +600,7 @@ def test_monitors_flag_a_doctored_trace(capsys, tmp_path):
             parts[3] = str(int(parts[3]) + 1)
             lines[i] = " ".join(parts)
             break
-    trace_file.write_text("\n".join(lines) + "\n")
+    trace_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, _ = run(capsys, "monitors", SAMPLES / "halt.cm", trace_file)
     assert code == 3
     assert "does not match" in out

@@ -14,6 +14,7 @@ from support import (
     compiled_witness,
     dedup_initial_configs,
     fire_canonicalize_explore,
+    fresh_copy,
     list_pick_fair_run,
     per_start_sweep,
     per_successor_cycle,
@@ -24,7 +25,7 @@ from support import (
     seesaw_configs,
     seesaw_protocol,
 )
-from udpp.core import Configuration, Guard, Protocol, Rule, UdppError
+from udpp.core import Configuration, Guard, Protocol, Rule, Trace, UdppError
 from udpp.exploration import (
     CanonicalConfig,
     EmptyConfiguration,
@@ -41,12 +42,13 @@ from udpp.exploration import (
     cycle_through,
     enumerate_initial_configs,
     explore,
+    opinions,
     random_fair_run,
     shortest_path,
 )
 from udpp.formats import format_trace, parse_configuration, parse_machine, parse_protocol
 from udpp.graph import _packing
-from udpp.reduction import RES1, RES2, compile_machine, tagged
+from udpp.reduction import RES1, RES2, certificate_verdict, compile_machine, tagged
 
 LIMITS = ExplorationLimits(max_nodes=10_000)
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -258,17 +260,62 @@ def test_explore_ranks_states_by_sorted_name_not_declaration_order():
     assert shuffled >= 400 and min(by_nodes, by_depth) >= 60
 
 
-def test_a_start_state_the_protocol_does_not_name_is_inert(seesaw, seesaw_runs):
-    # "a" sorts before both declared states and "pz" between them, so the
-    # exploration ranks p and q differently from the protocol's own packing
+def test_a_start_state_the_protocol_does_not_name_is_rejected(seesaw, seesaw_runs):
     start = Configuration({**dict(seesaw_runs[0].items()), ("a", 1): 1, ("pz", 0): 2, ("pz", 2): 1})
-    alone = _same_as_oracle(seesaw, start, LIMITS)
-    assert len(alone) == 3 and all("pz" in node.active_states() for node in alone.nodes)
+    message = "^start holds states the protocol does not name: a, pz$"
     steps: dict = {}
-    shared = explore(seesaw, start, LIMITS, steps=steps)
-    assert list(shared.edges.items()) == list(alone.edges.items()) and steps == {}
-    with pytest.raises(UdppError, match="^state '(a|pz)' has no output value$"):
+    with pytest.raises(UdppError, match=message):
+        explore(seesaw, start, LIMITS)
+    with pytest.raises(UdppError, match=message):
+        explore(seesaw, start, LIMITS, steps=steps)
+    with pytest.raises(UdppError, match=message):
         classify_output(seesaw, start, LIMITS)
+    assert steps == {}
+    explore(seesaw, seesaw_runs[0], LIMITS, steps=steps)
+    # one packing per protocol, ranking its own states only
+    assert seesaw._packing_slot == [_packing(seesaw)] and _packing(seesaw).names == ["p", "q"]
+
+
+def test_a_state_without_an_output_is_an_error_on_every_path():
+    states = ("p", "q", "z")
+    rules = (Rule(("p", "p"), Guard.EQ, ("z", "z")), Rule(("p", "q"), Guard.NEQ, ("q", "q")))
+    protocol = Protocol.make(states, rules, ("p", "q"), {"p": 0, "q": 1})
+    start = Configuration({("p", 0): 2, ("q", 1): 1})
+    graph = explore(protocol, start, LIMITS)
+    message = "^state 'z' has no output value$"
+    copy = fresh_copy(protocol)
+    plain = ReachGraph(graph.edges)  # a graph of decoded nodes
+    for owner, g in ((protocol, graph), (copy, graph), (protocol, plain)):
+        with pytest.raises(UdppError, match=message):
+            classify_graph(owner, g)
+    with pytest.raises(UdppError, match=message):
+        opinions(protocol, graph.nodes)
+    deadlock = Configuration({("z", 0): 2, ("q", 1): 1})
+    with pytest.raises(UdppError, match=message):
+        certificate_verdict(protocol, Trace(deadlock, ()))
+
+
+def test_explorations_in_a_row_match_explorations_on_fresh_copies():
+    # the memos one protocol keeps across explorations must not change a graph
+    rng = random.Random(239)
+    by_nodes = by_depth = 0
+    for _ in range(200):
+        protocol = random_protocol(rng, max_states=4, max_rules=5)
+        for _ in range(4):
+            start = random_config(rng, protocol.states, max_agents=6, max_colors=4)
+            for limits in (
+                ExplorationLimits(),
+                ExplorationLimits(max_nodes=rng.randint(1, 6)),
+                ExplorationLimits(max_depth=rng.randint(0, 3)),
+            ):
+                warm = explore(protocol, start, limits)
+                cold = explore(fresh_copy(protocol), start, limits)
+                # the edge mapping's keys are the nodes in discovery order
+                assert list(warm.edges.items()) == list(cold.edges.items())
+                assert warm.truncation_reason == cold.truncation_reason
+                by_nodes += "max_nodes" in (warm.truncation_reason or "")
+                by_depth += "max_depth" in (warm.truncation_reason or "")
+    assert min(by_nodes, by_depth) >= 100
 
 
 def _one_rule(rule: Rule, states=("p", "q", "r", "s", "t")) -> Protocol:
@@ -534,7 +581,7 @@ def test_enumerate_matches_brute_force_count(seesaw):
 
 
 def test_enumerate_matches_generate_and_deduplicate(seesaw):
-    halt = compile_machine(parse_machine((SAMPLES / "halt.cm").read_text()))
+    halt = compile_machine(parse_machine((SAMPLES / "halt.cm").read_text(encoding="utf-8")))
     cases = [(seesaw, n, k) for n in range(1, 9) for k in range(1, 5)]
     cases += [(halt, n, k) for n in range(1, 8) for k in range(1, 4)]
     rng = random.Random(211)
