@@ -21,7 +21,9 @@ from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial, reduce
 from itertools import combinations_with_replacement, groupby
+from operator import or_
 
 from .core import (
     Configuration,
@@ -37,12 +39,13 @@ from .core import (
 from .graph import (
     CanonicalConfig,
     Column,
-    Packed,
     ReachGraph,
     TruncatedGraph,
+    _components,
     _bottoms,
     _packing,
     _successors,
+    _Table,
     bottom_sccs,
     canonicalize,
     cycle_through,
@@ -68,13 +71,14 @@ class ExplorationLimits:
 
 def explore(
     protocol: Protocol,
-    start: Configuration,
+    start: Configuration | CanonicalConfig,
     limits: ExplorationLimits,
     *,
-    steps: dict[Packed, tuple[Packed, ...]] | None = None,
+    steps: _Table | None = None,
 ) -> ReachGraph:
     """Breadth-first closure of canonical forms under all enabled instances.
 
+    start is a configuration or the canonical form of one, taken as is.
     Successors come from :func:`graph._successors`, which steps packed
     signatures directly over the protocol's one packing and its memos; each
     node's successors are in the order in which firing the enabled instances
@@ -84,34 +88,33 @@ def explore(
     Hitting a budget flags the graph as truncated instead of raising; the
     partial graph still records every edge between discovered, expanded nodes.
 
-    steps, when given, is a successor table that several explorations share:
-    a packed node's packed successors are read from it, and computed and
-    stored on a miss. An entry always holds the node's full successor tuple;
-    the budgets trim what this exploration keeps, never what the table holds.
-    An entry is a function of the protocol and the node alone, so a table
-    may be shared only between explorations of one protocol. Firing keeps
-    every colour's agent count, so only starts with the same sorted colour
-    histogram can meet a common node; sharing a table beyond them only grows
-    it.
+    steps, when given, is a successor table over ids (:class:`graph._Table`)
+    that explorations of its protocol share: this one walks its ids and
+    expands a node there only when no exploration has. An entry always holds
+    the node's full successor tuple; the budgets trim what this exploration
+    keeps, never the table. Firing keeps every colour's agent count, so only
+    starts with the same sorted colour histogram can meet a common node;
+    sharing a table beyond them only grows it.
     """
     packing = _packing(protocol)
     unknown = start.active_states() - packing.ranks.keys()
     if unknown:
         raise UdppError(f"start holds states the protocol does not name: {', '.join(sorted(unknown))}")
-    root = packing.encode(canonicalize(start))
-    found: dict[Packed, int] = {root: 0}  # node -> its id
-    order: list[Packed] = [root]  # id -> node
+    root = packing.encode(start if isinstance(start, CanonicalConfig) else canonicalize(start))
+    if steps is None:
+        expand = partial(_successors, packing)
+    elif steps.packing is packing:
+        expand, root = steps.expand, steps[root]
+    else:
+        raise ValueError("the successor table belongs to another protocol")
+    found = {root: 0}  # node (packed, or its table id) -> its id here
+    order = [root]  # id here -> node
     depths: list[int] = [0]  # depths[i] is the depth of order[i]
     offsets, targets = array("q", [0]), array("q")
     link = targets.append
     reasons: dict[str, str] = {}  # budget -> message, in the order first hit
     for node, depth in zip(order, depths):  # both grow as nodes are found: the breadth-first queue
-        if steps is None:
-            nexts = _successors(packing, node)
-        else:
-            nexts = steps.get(node)
-            if nexts is None:
-                nexts = steps[node] = tuple(_successors(packing, node))
+        nexts = expand(node)
         if nexts and limits.max_depth is not None and depth >= limits.max_depth:
             reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
             nexts = ()
@@ -126,7 +129,8 @@ def explore(
                 depths.append(depth + 1)
             link(known)
         offsets.append(len(targets))
-    return ReachGraph._explored(order, offsets, targets, packing, "; ".join(reasons.values()) or None)
+    keys = order if steps is None else list(map(steps.nodes.__getitem__, order))
+    return ReachGraph._explored(keys, offsets, targets, packing, "; ".join(reasons.values()) or None)
 
 
 def opinions(protocol: Protocol, configs: Iterable[Configuration | CanonicalConfig]) -> set[int]:
@@ -144,11 +148,19 @@ def _outputs(protocol: Protocol, states: set[StateId]) -> set[int]:
     return {protocol.output[q] for q in states}
 
 
+def _mask(protocol: Protocol, states: set[StateId]) -> int:
+    """The opinions of these states as bits: 1 for opinion 0, 2 for 1."""
+    return sum(1 << b for b in _outputs(protocol, states))
+
+
 class Verdict(Enum):
     OUT0 = "Out0"
     OUT1 = "Out1"
     NO_OUTPUT = "NoOutput"
     UNKNOWN = "Unknown"
+
+
+_BY_MASK = (None, Verdict.OUT0, Verdict.OUT1, Verdict.NO_OUTPUT)  # the opinions (see _mask) that settle a start
 
 
 @dataclass(frozen=True)
@@ -168,22 +180,17 @@ class OutputClass:
 
 
 def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
-    """Verdict for a fully explored graph; Unknown when it is truncated."""
+    """Verdict for a fully explored graph; Unknown when it is truncated.
+    Every bottom component's states must have an output."""
     if graph.truncated:
         return OutputClass(Verdict.UNKNOWN, graph.truncation_reason)
-    first_with: dict[int, list[int]] = {}
-    for component in _bottoms(graph):
-        values = _outputs(protocol, graph._states_at(component))
-        if len(values) != 1:
-            return OutputClass(Verdict.NO_OUTPUT, component=frozenset(map(graph._node, component)))
-        first_with.setdefault(values.pop(), component)
-    if set(first_with) == {0}:
-        return OutputClass(Verdict.OUT0)
-    if set(first_with) == {1}:
-        return OutputClass(Verdict.OUT1)
-    deciding = first_with.get(0)
-    members = None if deciding is None else frozenset(map(graph._node, deciding))
-    return OutputClass(Verdict.NO_OUTPUT, component=members)
+    bottoms = _bottoms(graph)
+    masks = [_mask(protocol, graph._states_at(component)) for component in bottoms]
+    either = reduce(or_, masks, 0)
+    if either in (1, 2):
+        return OutputClass(_BY_MASK[either])
+    deciding = bottoms[masks.index(3 if 3 in masks else 1)] if either else None  # see OutputClass
+    return OutputClass(Verdict.NO_OUTPUT, component=deciding and frozenset(map(graph._node, deciding)))
 
 
 def classify_output(
@@ -197,9 +204,7 @@ def classify_output(
     if start.total() == 0:
         raise EmptyConfiguration("cannot classify an empty population")
     oc = classify_graph(protocol, explore(protocol, start, limits))
-    # The deciding component means nothing without its graph, and a sweep
-    # holding one per NoOutput start would keep their nodes alive.
-    return OutputClass(oc.verdict, oc.reason)
+    return OutputClass(oc.verdict, oc.reason)  # the deciding component means nothing without its graph
 
 
 def enumerate_initial_configs(protocol: Protocol, n: int, k: int) -> list[CanonicalConfig]:
@@ -260,14 +265,11 @@ def check_well_specification(
 ) -> WellSpecReport:
     """Classify every canonical initial configuration within the bounds.
 
-    Each start is explored and classified on its own, under its own budget,
-    and the entries come in signature order per agent count, exactly as
-    :func:`classify_output` would give them one by one. The explorations of
-    the starts with one sorted colour histogram share a successor table
-    (see :func:`explore`), built for this protocol only and dropped when the
-    last of those starts is done: firing keeps each colour's agent count, so
-    starts of different histograms never meet, and one table per histogram
-    class keeps memory to the largest class.
+    Each start is explored on its own, under its own budget, and gets the
+    verdict :func:`classify_output` would give it, in signature order per
+    agent count. Firing keeps each colour's agent count, so only starts with
+    one sorted colour histogram can meet; each such class gets one
+    :func:`_class_verdicts` pass.
     """
     if max_agents < 1:
         raise ValueError("max_agents must be at least 1")
@@ -280,20 +282,33 @@ def check_well_specification(
             classes.setdefault(histogram, []).append(canon)
         by_start: dict[CanonicalConfig, OutputClass] = {}
         for members in classes.values():
-            steps: dict[Packed, tuple[Packed, ...]] = {}
-            for canon in members:
-                graph = explore(protocol, canon.representative(), limits, steps=steps)
-                oc = classify_graph(protocol, graph)
-                by_start[canon] = OutputClass(oc.verdict, oc.reason)  # no component, as in classify_output
+            by_start.update(zip(members, _class_verdicts(protocol, [(canon, limits) for canon in members])))
         entries += [(canon, by_start[canon]) for canon in starts]
     verdicts = {oc.verdict for _, oc in entries}
     if Verdict.NO_OUTPUT in verdicts:
-        verdict = VERDICT_WITNESS
-    elif Verdict.UNKNOWN in verdicts:
-        verdict = VERDICT_INCONCLUSIVE
-    else:
-        verdict = VERDICT_BOUNDED_OK
-    return WellSpecReport(tuple(entries), verdict)
+        return WellSpecReport(tuple(entries), VERDICT_WITNESS)
+    return WellSpecReport(tuple(entries), VERDICT_INCONCLUSIVE if Verdict.UNKNOWN in verdicts else VERDICT_BOUNDED_OK)
+
+
+def _class_verdicts(protocol: Protocol, jobs: list[tuple[CanonicalConfig, ExplorationLimits]]) -> list[OutputClass]:
+    """The verdicts of these starts, each explored under its own limits into
+    one successor table over ids (see :func:`explore`). A truncated start is
+    Unknown. One Tarjan pass over the table from the complete starts' roots
+    gives every component it meets the opinions (see :func:`_mask`) of the
+    bottom components it reaches. A complete start expanded every node it
+    reaches, so the pass meets no node a budget left unexpanded; it raises
+    :class:`UdppError` exactly when a bottom component it meets holds a state without an output.
+    """
+    table = _Table(protocol)
+    roots: list[tuple[int, str | None]] = []  # per start: its table id and truncation reason
+    for canon, limits in jobs:
+        graph = explore(protocol, canon, limits, steps=table)
+        roots.append((table[graph._keys[0]], graph.truncation_reason))
+    masks = _components(
+        table.expanded, len(table), [root for root, reason in roots if reason is None],
+        lambda component: _mask(protocol, table.packing.states(table.nodes, component)),
+    )
+    return [OutputClass(Verdict.UNKNOWN if reason else _BY_MASK[masks[root] & 3], reason) for root, reason in roots]
 
 
 def random_fair_run(

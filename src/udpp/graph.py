@@ -7,8 +7,8 @@ a :class:`ReachGraph` numbers its nodes in discovery order and keeps its
 edges in compressed sparse rows, so that Tarjan's algorithm and the path
 searches run on ints. A node is decoded to a CanonicalConfig only when it is
 read. This module is the only one that reads or writes packed columns: the
-explorer gets packed successors from :func:`_successors` and the classifier
-a component's states from :meth:`ReachGraph._states_at`.
+explorer gets packed successors from :func:`_successors` (or ids from a
+:class:`_Table`) and the classifiers a component's states from :meth:`_Packing.states`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import weakref
 from array import array
 from collections import deque
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from itertools import chain
 
 from .core import Configuration, Guard, Protocol, StateId, UdppError
@@ -132,6 +132,10 @@ class _Packing:
     def decode(self, node: Packed) -> CanonicalConfig:
         return CanonicalConfig(map(self._columns.__getitem__, node))
 
+    def states(self, nodes: list[Packed], ids: Iterable[int]) -> set[StateId]:
+        """The states active at the packed nodes ``nodes[v]`` for v in ids, read off by rank."""
+        return set(map(self.names.__getitem__, {r for v in ids for column in nodes[v] for r in column[::2]}))
+
 
 class _Columns(dict):
     """packed column -> column, decoded on first lookup."""
@@ -171,12 +175,7 @@ class ReachGraph:
 
     __slots__ = ("truncation_reason", "_keys", "_offsets", "_targets", "_packing", "_decoded", "_ids", "_edges")
 
-    def __init__(
-        self,
-        edges: Mapping[Hashable, Iterable[Hashable]],
-        *,
-        truncation_reason: str | None = None,
-    ) -> None:
+    def __init__(self, edges: Mapping[Hashable, Iterable[Hashable]], *, truncation_reason: str | None = None) -> None:
         keys = list(edges)
         ids = {node: i for i, node in enumerate(keys)}
         offsets, targets = array("q", [0]), array("q")
@@ -222,18 +221,14 @@ class ReachGraph:
         """The states active at these nodes, read off packed nodes by rank."""
         if self._packing is None:
             return {q for v in ids for q in self._keys[v].active_states()}
-        keys = self._keys
-        ranks = {r for v in ids for column in keys[v] for r in column[::2]}
-        return set(map(self._packing.names.__getitem__, ranks))
+        return self._packing.states(self._keys, ids)
 
     @property
     def edges(self) -> Mapping[CanonicalConfig, tuple[CanonicalConfig, ...]]:
         """node -> its successors, in discovery order."""
         if self._edges is None:
             node = self._node
-            self._edges = {
-                node(v): tuple(map(node, self._successors(v))) for v in range(len(self._keys))
-            }
+            self._edges = {node(v): tuple(map(node, self._successors(v))) for v in range(len(self._keys))}
         return self._edges
 
     @property
@@ -309,11 +304,8 @@ def _successors(packing: _Packing, node: Packed) -> dict[Packed, None]:
     :class:`_Packing`).
 
     These class loops are kept apart from :func:`core._candidates` and
-    :func:`core._apply` on purpose (measured on CPython 3.11.7, 2 cores):
-    feeding both from one shared pair enumerator made ``explore`` on the
-    count4 5/5 start take 0.29 s instead of 0.22 s, and storing
-    configurations as per-colour columns, so that firing and :class:`_Rewrites`
-    share one rewrite, slowed the seeded scheduler by 8-21 %.
+    :func:`core._apply` on purpose: both merges measured slower (ROADMAP,
+    north-star item 2).
     """
     memo = packing._rewrites
     firsts: list[int] = []  # per class: its first color
@@ -357,34 +349,67 @@ def _successors(packing: _Packing, node: Packed) -> dict[Packed, None]:
     return out
 
 
-def _bottom_components(offsets: array, targets: array) -> list[list[int]]:
-    """The strongly connected components that no edge leaves, of the graph
-    on nodes 0, 1, ... where node v's successors are
-    ``targets[offsets[v]:offsets[v + 1]]``. Iterative Tarjan, starting from
-    the nodes in order, gives them in the reverse topological order in which
-    it completes them.
+class _Table(dict):
+    """A successor table over ids for explorations of one protocol to share
+    (see :func:`exploration.explore`): packed node -> its id, given on first
+    lookup; ``nodes[v]`` is node v and ``succs[v]`` the ids of its full
+    successor tuple, or None until some exploration expands it."""
+
+    __slots__ = ("packing", "nodes", "succs")
+
+    def __init__(self, protocol: Protocol) -> None:
+        super().__init__()
+        self.packing = _packing(protocol)
+        self.nodes: list[Packed] = []
+        self.succs: list[tuple[int, ...] | None] = []
+
+    def __missing__(self, node: Packed) -> int:
+        v = self[node] = len(self.nodes)
+        self.nodes.append(node)
+        self.succs.append(None)
+        return v
+
+    def expand(self, v: int) -> tuple[int, ...]:
+        succs = self.succs[v]
+        if succs is None:
+            succs = self.succs[v] = tuple(map(self.__getitem__, _successors(self.packing, self.nodes[v])))
+        return succs
+
+    def expanded(self, v: int) -> tuple[int, ...]:
+        assert self.succs[v] is not None, "a complete exploration left a node unexpanded"
+        return self.succs[v]
+
+
+def _components(
+    successors: Callable[[int], Iterable[int]], n: int, roots: Iterable[int], weigh: Callable[[list[int]], int]
+) -> list[int]:
+    """Iterative Tarjan over the nodes that roots reach, in the graph on
+    nodes 0, 1, ..., n - 1 where successors(v) gives v's successors. It
+    completes components in reverse topological order and gives each a
+    mask: weigh(members), below 4, for a bottom component (one no edge
+    leaves), else the union of the masks of the components its edges enter.
+    Returns per node its component's mask with bit 4 set, or 0 if unreached.
 
     A node whose component is complete gets the index ``done``, above every
     live one, so one comparison tells an edge back into the stack from an
-    edge into a complete component, which leaves the current one. So does a
-    tree edge to a child that roots its own component. Every other member of
-    a component passes what it has seen to its parent, up to the root.
+    edge into a complete component, whose mask (bit 4 included) it takes
+    up, as does a tree edge to a child that roots its own component. Other
+    members pass what they took up to their parents, so a component's root
+    sees bit 4 exactly when an edge leaves the component.
     """
-    n = len(offsets) - 1
     done = n
     index = [-1] * n
     low = [0] * n
-    leaves = bytearray(n)  # 1 once v's component is seen to have an edge out
+    reach = [0] * n  # live: the masks v's subtree took up; complete: v's component mask | 4
     stack: list[int] = []
-    bottoms: list[list[int]] = []
     visited = 0
-    for start in range(n):
+    for start in roots:
         if index[start] >= 0:
             continue
         index[start] = low[start] = visited
         visited += 1
         stack.append(start)
-        work: list[tuple[int, Iterator[int]]] = [(start, iter(targets[offsets[start] : offsets[start + 1]]))]
+        work: list[tuple[int, Iterator[int]]] = [(start, iter(successors(start)))]
         while work:
             v, it = work[-1]
             for w in it:
@@ -393,46 +418,45 @@ def _bottom_components(offsets: array, targets: array) -> list[list[int]]:
                     index[w] = low[w] = visited
                     visited += 1
                     stack.append(w)
-                    work.append((w, iter(targets[offsets[w] : offsets[w + 1]])))
+                    work.append((w, iter(successors(w))))
                     break
                 if i < low[v]:
                     low[v] = i
                 elif i == done:
-                    leaves[v] = 1
+                    reach[v] |= reach[w]
             else:  # every successor of v is done
                 work.pop()
-                root = low[v] == index[v]
-                if root:  # pop v's component off the stack
+                if low[v] == index[v]:  # pop v's component off the stack
                     component = [stack.pop()]
                     while component[-1] != v:
                         component.append(stack.pop())
+                    mask = reach[v] or weigh(component) | 4
                     for w in component:
                         index[w] = done
-                    if not leaves[v]:
-                        bottoms.append(component)
+                        reach[w] = mask
                 if work:
                     parent = work[-1][0]
-                    if root or leaves[v]:
-                        leaves[parent] = 1
+                    reach[parent] |= reach[v]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
-    return bottoms
+    return reach
 
 
 def _bottoms(graph: ReachGraph) -> list[list[int]]:
-    """The node ids of each bottom component, in Tarjan's order. Requires a
-    complete graph; truncated input raises :class:`TruncatedGraph`."""
+    """The node ids of each bottom component, in Tarjan's order from the
+    nodes in order. Requires a complete graph; truncated input raises
+    :class:`TruncatedGraph`."""
     if graph.truncated:
         raise TruncatedGraph(graph.truncation_reason)
-    return _bottom_components(graph._offsets, graph._targets)
+    bottoms: list[list[int]] = []
+    _components(graph._successors, len(graph), range(len(graph)), lambda component: bottoms.append(component) or 0)
+    return bottoms
 
 
 def bottom_sccs(graph: ReachGraph) -> list[frozenset[CanonicalConfig]]:
-    """Strongly connected components with no edge leaving the component.
-
-    A deadlock node is a singleton bottom component. Requires a complete
-    graph; truncated input raises :class:`TruncatedGraph`.
-    """
+    """Strongly connected components with no edge leaving the component; a
+    deadlock node is a singleton one. Requires a complete graph; truncated
+    input raises :class:`TruncatedGraph`."""
     return [frozenset(map(graph._node, component)) for component in _bottoms(graph)]
 
 

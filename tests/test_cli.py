@@ -1,3 +1,4 @@
+import hashlib
 import os
 import time
 from pathlib import Path
@@ -423,6 +424,20 @@ def test_exploration_alone_confirms_the_sigma_certificate_on_the_smallest_witnes
     import resource  # POSIX only
 
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss <= 600 * 1024  # KiB on Linux
+
+
+# SHA-256 of the report below, recorded before the sweep shared one Tarjan pass per class
+HALT_SWEEP_7_3_SHA256 = "53f410f6ad95dbf0e830015677fcd9938069afec3f8044434d5b0958c02292e7"
+
+
+@pytest.mark.skipif(os.environ.get("UDPP_SLOW") != "1", reason="sweeps 347 starts for several seconds; set UDPP_SLOW=1")
+def test_sweep_of_compiled_halt_up_to_seven_agents_is_pinned(capsys, tmp_path):
+    pp_file = tmp_path / "halt.pp"
+    run(capsys, "compile", SAMPLES / "halt.cm", "--out", pp_file)
+    code, out, _ = run(capsys, "sweep", pp_file, "--max-agents", 7, "--max-colors", 3)
+    lines = out.splitlines()
+    assert code == 3 and len(lines) == 348 and lines[-1] == "verdict: not-well-specified"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HALT_SWEEP_7_3_SHA256
 
 
 def test_certificate_replay_failure_is_inconclusive(capsys, tmp_path):

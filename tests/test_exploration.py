@@ -47,7 +47,8 @@ from udpp.exploration import (
     shortest_path,
 )
 from udpp.formats import format_trace, parse_configuration, parse_machine, parse_protocol
-from udpp.graph import _packing
+from udpp.exploration import _class_verdicts
+from udpp.graph import _packing, _Table
 from udpp.reduction import RES1, RES2, certificate_verdict, compile_machine, tagged
 
 LIMITS = ExplorationLimits(max_nodes=10_000)
@@ -263,14 +264,14 @@ def test_explore_ranks_states_by_sorted_name_not_declaration_order():
 def test_a_start_state_the_protocol_does_not_name_is_rejected(seesaw, seesaw_runs):
     start = Configuration({**dict(seesaw_runs[0].items()), ("a", 1): 1, ("pz", 0): 2, ("pz", 2): 1})
     message = "^start holds states the protocol does not name: a, pz$"
-    steps: dict = {}
+    steps = _Table(seesaw)
     with pytest.raises(UdppError, match=message):
         explore(seesaw, start, LIMITS)
     with pytest.raises(UdppError, match=message):
         explore(seesaw, start, LIMITS, steps=steps)
     with pytest.raises(UdppError, match=message):
         classify_output(seesaw, start, LIMITS)
-    assert steps == {}
+    assert steps == {} and steps.nodes == steps.succs == []
     explore(seesaw, seesaw_runs[0], LIMITS, steps=steps)
     # one packing per protocol, ranking its own states only
     assert seesaw._packing_slot == [_packing(seesaw)] and _packing(seesaw).names == ["p", "q"]
@@ -698,7 +699,7 @@ def test_explorations_sharing_one_table_match_table_free_ones(seesaw):
         (largest[0], ExplorationLimits(max_nodes=3), "node budget exceeded (max_nodes=3)"),
         (largest[1], ExplorationLimits(max_depth=1), "depth budget exceeded (max_depth=1)"),
     ] + [(canon, LIMITS, None) for canon in members]
-    steps: dict = {}  # packed nodes, decoded below
+    steps = _Table(seesaw)  # ids of packed nodes, decoded below
     decode = _packing(seesaw).decode
     expanded = set()
     for canon, limits, reason in jobs:
@@ -707,11 +708,95 @@ def test_explorations_sharing_one_table_match_table_free_ones(seesaw):
         assert list(shared.edges.items()) == list(alone.edges.items())
         assert shared.root == alone.root == canon
         assert shared.truncation_reason == alone.truncation_reason == reason
+        nodes = list(map(decode, steps.nodes))
+        assert all(steps[node] == v for v, node in enumerate(steps.nodes))
         if reason is None:  # an untrimmed graph shows every node's full entry
-            table = {decode(node): tuple(map(decode, succs)) for node, succs in steps.items()}
+            table = {
+                nodes[v]: tuple(nodes[w] for w in succs) for v, succs in enumerate(steps.succs) if succs is not None
+            }
             assert all(table[node] == succs for node, succs in alone.edges.items())
             expanded.update(alone.edges)
     assert len(members) == 24 and set(table) == expanded
+
+
+def _histogram_classes(protocol, n, k):
+    classes = {}
+    for canon in enumerate_initial_configs(protocol, n, k):
+        classes.setdefault(tuple(sorted(sum(c for _, c in column) for column in canon)), []).append(canon)
+    return list(classes.values())
+
+
+def _per_start(protocol, jobs):
+    return [classify_output(fresh_copy(protocol), canon.representative(), limits) for canon, limits in jobs]
+
+
+def test_one_pass_per_class_matches_per_start_classification_on_random_protocols():
+    # each start of a class under its own limits, in a random order, all in one table
+    rng = random.Random(241)
+    seen = Counter()
+    for _ in range(250):
+        protocol = random_protocol(rng, max_states=4, max_rules=5)
+        for members in _histogram_classes(protocol, rng.randint(2, 5), rng.randint(2, 3)):
+            jobs = [
+                (canon, rng.choice([ExplorationLimits(), ExplorationLimits(max_nodes=rng.randint(1, 6)),
+                                    ExplorationLimits(max_depth=rng.randint(0, 3))]))
+                for canon in members
+            ]
+            rng.shuffle(jobs)
+            got = _class_verdicts(protocol, jobs)
+            assert got == _per_start(protocol, jobs)
+            seen.update(oc.verdict for oc in got)
+            seen["mixed classes"] += len({oc.verdict is Verdict.UNKNOWN for oc in got}) == 2
+    assert min(seen.values()) >= 100, seen
+
+
+def test_one_pass_gives_two_starts_on_one_cycle_their_verdicts(seesaw, seesaw_runs):
+    c0, c1, c2 = map(canonicalize, seesaw_runs)  # c0 -> c1 -> c2 -> c1
+    for jobs in ([(c1, LIMITS), (c2, LIMITS)], [(c2, LIMITS), (c1, LIMITS), (c0, LIMITS)]):
+        got = _class_verdicts(seesaw, jobs)
+        assert got == _per_start(seesaw, jobs) and {oc.verdict for oc in got} == {Verdict.NO_OUTPUT}
+
+
+def test_a_complete_start_expands_what_a_truncated_one_only_discovered(seesaw, seesaw_runs):
+    c0, c1, c2 = map(canonicalize, seesaw_runs)
+    jobs = [(c0, ExplorationLimits(max_nodes=1)), (c1, ExplorationLimits(max_depth=0)), (c2, LIMITS)]
+    table = _Table(seesaw)
+    encode = _packing(seesaw).encode
+    for canon, limits in jobs[:2]:
+        explore(seesaw, canon, limits, steps=table)
+    # c1 was expanded by its own start; c2 only discovered, as c1's successor
+    assert table.succs[table[encode(c1)]] == (table[encode(c2)],) and table.succs[table[encode(c2)]] is None
+    got = _class_verdicts(seesaw, jobs)
+    assert got == _per_start(seesaw, jobs)
+    assert [oc.describe() for oc in got] == [
+        "Unknown(node budget exceeded (max_nodes=1))", "Unknown(depth budget exceeded (max_depth=0))", "NoOutput"
+    ]
+
+
+def _no_output_for_z(*rules):
+    return Protocol.make(("p", "q", "r", "z"), rules, ("p", "q"), {"p": 0, "q": 1, "r": 0})
+
+
+def test_the_sweep_rejects_a_state_without_output_in_a_bottom_component():
+    # from p+q on one colour: first a mixed deadlock q+r, then a deadlock z+z
+    protocol = _no_output_for_z(Rule(("p", "q"), Guard.EQ, ("r", "q")), Rule(("p", "q"), Guard.EQ, ("z", "z")))
+    for run in (lambda: check_well_specification(protocol, 2, 1, LIMITS),
+                lambda: classify_output(protocol, Configuration({("p", 0): 1, ("q", 0): 1}), LIMITS)):
+        with pytest.raises(UdppError, match="^state 'z' has no output value$"):
+            run()
+    # a start that cannot reach z settles as usual
+    assert check_well_specification(protocol, 1, 1, LIMITS).verdict == "well-specified-up-to-bounds"
+    # truncated at p+q, so no bottom component is ever looked at
+    assert check_well_specification(protocol, 2, 1, ExplorationLimits(max_depth=0)).verdict == "inconclusive"
+
+
+def test_the_sweep_accepts_a_state_without_output_seen_only_in_transit():
+    # p+p -> z+p -> q+p, a mixed deadlock
+    protocol = _no_output_for_z(Rule(("p", "p"), Guard.EQ, ("z", "p")), Rule(("z", "p"), Guard.EQ, ("q", "p")))
+    report = check_well_specification(protocol, 2, 1, LIMITS)
+    assert report.lines() == [
+        "{p:1} Out0", "{q:1} Out1", "{p:1,q:1} NoOutput", "{p:2} NoOutput", "{q:2} Out1", "verdict: not-well-specified"
+    ]
 
 
 def test_sweep_report_lines_shape(seesaw):
