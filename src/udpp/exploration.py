@@ -11,7 +11,8 @@ reachability graph, the set of configurations a fair execution visits
 infinitely often is exactly one bottom strongly connected component. A
 deadlock counts as a singleton bottom component where the execution
 stutters forever. Hence a start configuration has stable output b exactly
-when every reachable bottom component is unanimous for the same b.
+when every reachable bottom component is unanimous for the same b; every
+verdict here reads that off one opinion pass, :func:`graph._components`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial, reduce
+from functools import partial
 from itertools import combinations_with_replacement, groupby
-from operator import or_
 
 from .core import (
     Configuration,
@@ -40,13 +40,10 @@ from .graph import (
     CanonicalConfig,
     Column,
     ReachGraph,
-    TruncatedGraph,
     _components,
-    _bottoms,
     _packing,
     _successors,
     _Table,
-    bottom_sccs,
     canonicalize,
     cycle_through,
     shortest_path,
@@ -130,7 +127,7 @@ def explore(
             link(known)
         offsets.append(len(targets))
     keys = order if steps is None else list(map(steps.nodes.__getitem__, order))
-    return ReachGraph._explored(keys, offsets, targets, packing, "; ".join(reasons.values()) or None)
+    return ReachGraph(keys, offsets, targets, packing, "; ".join(reasons.values()) or None)
 
 
 def opinions(protocol: Protocol, configs: Iterable[Configuration | CanonicalConfig]) -> set[int]:
@@ -180,17 +177,26 @@ class OutputClass:
 
 
 def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
-    """Verdict for a fully explored graph; Unknown when it is truncated.
-    Every bottom component's states must have an output."""
+    """Verdict for a fully explored graph, from the opinion pass
+    (:func:`graph._components`) from its root; Unknown when it is truncated.
+    Every bottom component's states must have an output, and the graph of
+    the empty population raises :class:`EmptyConfiguration`."""
     if graph.truncated:
         return OutputClass(Verdict.UNKNOWN, graph.truncation_reason)
-    bottoms = _bottoms(graph)
-    masks = [_mask(protocol, graph._states_at(component)) for component in bottoms]
-    either = reduce(or_, masks, 0)
-    if either in (1, 2):
-        return OutputClass(_BY_MASK[either])
-    deciding = bottoms[masks.index(3 if 3 in masks else 1)] if either else None  # see OutputClass
-    return OutputClass(Verdict.NO_OUTPUT, component=deciding and frozenset(map(graph._node, deciding)))
+    firsts: dict[int, list[int]] = {}  # mask -> the first bottom component to complete with it
+
+    def weigh(component: list[int]) -> int:
+        mask = _mask(protocol, graph._packing.states(graph._keys, component))
+        firsts.setdefault(mask, component)
+        return mask
+
+    verdict = _BY_MASK[_components(graph._successors, len(graph), [0], weigh)[0] & 3]
+    if verdict is None:
+        raise EmptyConfiguration("cannot classify an empty population")
+    if verdict is not Verdict.NO_OUTPUT:
+        return OutputClass(verdict)
+    deciding = firsts.get(3) or firsts[1]  # see OutputClass
+    return OutputClass(verdict, component=frozenset(map(graph._node, deciding)))
 
 
 def classify_output(
@@ -199,10 +205,9 @@ def classify_output(
     """Stable-consensus verdict for one start configuration.
 
     Out0/Out1 when every reachable bottom component is unanimous for the same
-    opinion, NoOutput otherwise, Unknown when exploration hit a budget.
+    opinion, NoOutput otherwise, Unknown when exploration hit a budget; an
+    empty population raises :class:`EmptyConfiguration`.
     """
-    if start.total() == 0:
-        raise EmptyConfiguration("cannot classify an empty population")
     oc = classify_graph(protocol, explore(protocol, start, limits))
     return OutputClass(oc.verdict, oc.reason)  # the deciding component means nothing without its graph
 

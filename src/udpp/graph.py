@@ -8,7 +8,9 @@ edges in compressed sparse rows, so that Tarjan's algorithm and the path
 searches run on ints. A node is decoded to a CanonicalConfig only when it is
 read. This module is the only one that reads or writes packed columns: the
 explorer gets packed successors from :func:`_successors` (or ids from a
-:class:`_Table`) and the classifiers a component's states from :meth:`_Packing.states`.
+:class:`_Table`) and the one opinion pass, :func:`_components`, a bottom
+component's states from :meth:`_Packing.states`. :mod:`udpp.exploration`
+re-exports the public names.
 """
 
 from __future__ import annotations
@@ -16,19 +18,15 @@ from __future__ import annotations
 import weakref
 from array import array
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import chain
 
-from .core import Configuration, Guard, Protocol, StateId, UdppError
+from .core import Configuration, Guard, Protocol, StateId
 
 Column = tuple[tuple[StateId, int], ...]
 # A packed column is the flat int tuple (rank, count, rank, count, ...) of a
 # column, a packed node the sorted tuple of its packed columns (see _Packing).
 Packed = tuple[tuple[int, ...], ...]
-
-
-class TruncatedGraph(UdppError):
-    """Raised when an analysis needs a complete graph but got a truncated one."""
 
 
 class CanonicalConfig(tuple[Column, ...]):
@@ -158,52 +156,34 @@ def _packing(protocol: Protocol) -> _Packing:
 
 
 class ReachGraph:
-    """Forward closure over canonical forms: nodes 0, 1, ... in discovery
-    order, so the root, expanded first, is node 0, and node v's successors
-    are the node ids ``targets[offsets[v]:offsets[v + 1]]``, in edge order.
+    """Forward closure over canonical forms, as :func:`exploration.explore`
+    builds it: nodes 0, 1, ... in discovery order, so the root, expanded
+    first, is node 0, and node v's successors are the node ids
+    ``targets[offsets[v]:offsets[v + 1]]``, in edge order.
 
     Without a truncation reason the node set is closed under firing and
     deadlocked nodes are exactly those without successors. With one, some
     node went unexpanded and no closure property holds.
 
-    A graph built from an edges mapping (node -> its successors; the keys,
-    in order, are the nodes) keeps those nodes. A graph from :func:`explore`
-    keeps packed nodes and decodes one to a :class:`CanonicalConfig` when
-    ``edges``, ``nodes``, ``root`` or a component first reads it; the
-    analyses run on ids and decode nothing else.
+    Node v is ``keys[v]`` packed by ``packing``, decoded to a
+    :class:`CanonicalConfig` when ``edges``, ``nodes``, ``root`` or a
+    component first reads it; the analyses run on ids and decode nothing
+    else.
     """
 
     __slots__ = ("truncation_reason", "_keys", "_offsets", "_targets", "_packing", "_decoded", "_ids", "_edges")
 
-    def __init__(self, edges: Mapping[Hashable, Iterable[Hashable]], *, truncation_reason: str | None = None) -> None:
-        keys = list(edges)
-        ids = {node: i for i, node in enumerate(keys)}
-        offsets, targets = array("q", [0]), array("q")
-        for node in keys:
-            targets.extend(ids[w] for w in edges[node])
-            offsets.append(len(targets))
-        self._fill(keys, offsets, targets, None, truncation_reason)
-        self._ids = ids
-
-    @classmethod
-    def _explored(
-        cls, keys: list[Packed], offsets: array, targets: array, packing: _Packing, reason: str | None
-    ) -> ReachGraph:
-        graph = cls.__new__(cls)
-        graph._fill(keys, offsets, targets, packing, reason)
-        return graph
-
-    def _fill(self, keys: list, offsets: array, targets: array, packing: _Packing | None, reason: str | None) -> None:
+    def __init__(
+        self, keys: list[Packed], offsets: array, targets: array, packing: _Packing, truncation_reason: str | None
+    ) -> None:
         self._keys, self._offsets, self._targets, self._packing = keys, offsets, targets, packing
-        self.truncation_reason = reason
+        self.truncation_reason = truncation_reason
         self._decoded: dict[int, CanonicalConfig] = {}
-        self._ids: dict | None = None
+        self._ids: dict[Packed, int] | None = None
         self._edges: dict | None = None
 
     def _node(self, v: int) -> CanonicalConfig:
         """Node v, decoded once."""
-        if self._packing is None:
-            return self._keys[v]
         node = self._decoded.get(v)
         if node is None:
             node = self._decoded[v] = self._packing.decode(self._keys[v])
@@ -212,16 +192,10 @@ class ReachGraph:
     def _id(self, node: CanonicalConfig) -> int:
         if self._ids is None:
             self._ids = {key: i for i, key in enumerate(self._keys)}
-        return self._ids[node if self._packing is None else self._packing.encode(node)]
+        return self._ids[self._packing.encode(node)]
 
     def _successors(self, v: int) -> array:
         return self._targets[self._offsets[v] : self._offsets[v + 1]]
-
-    def _states_at(self, ids: Iterable[int]) -> set[StateId]:
-        """The states active at these nodes, read off packed nodes by rank."""
-        if self._packing is None:
-            return {q for v in ids for q in self._keys[v].active_states()}
-        return self._packing.states(self._keys, ids)
 
     @property
     def edges(self) -> Mapping[CanonicalConfig, tuple[CanonicalConfig, ...]]:
@@ -390,6 +364,10 @@ def _components(
     leaves), else the union of the masks of the components its edges enter.
     Returns per node its component's mask with bit 4 set, or 0 if unreached.
 
+    The one opinion pass: :func:`exploration.classify_graph` runs it on a
+    graph from node 0, the sweep on a :class:`_Table` from its complete
+    starts' roots; weigh meets the bottom components in completion order.
+
     A node whose component is complete gets the index ``done``, above every
     live one, so one comparison tells an edge back into the stack from an
     edge into a complete component, whose mask (bit 4 included) it takes
@@ -440,24 +418,6 @@ def _components(
                     if low[v] < low[parent]:
                         low[parent] = low[v]
     return reach
-
-
-def _bottoms(graph: ReachGraph) -> list[list[int]]:
-    """The node ids of each bottom component, in Tarjan's order from the
-    nodes in order. Requires a complete graph; truncated input raises
-    :class:`TruncatedGraph`."""
-    if graph.truncated:
-        raise TruncatedGraph(graph.truncation_reason)
-    bottoms: list[list[int]] = []
-    _components(graph._successors, len(graph), range(len(graph)), lambda component: bottoms.append(component) or 0)
-    return bottoms
-
-
-def bottom_sccs(graph: ReachGraph) -> list[frozenset[CanonicalConfig]]:
-    """Strongly connected components with no edge leaving the component; a
-    deadlock node is a singleton one. Requires a complete graph; truncated
-    input raises :class:`TruncatedGraph`."""
-    return [frozenset(map(graph._node, component)) for component in _bottoms(graph)]
 
 
 def _path_into(

@@ -8,6 +8,7 @@ reachability instead of Tarjan) so that agreement is meaningful.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from functools import cache
 from itertools import combinations_with_replacement
@@ -40,6 +41,7 @@ from udpp.exploration import (
     enumerate_initial_configs,
 )
 from udpp.formats import parse_machine
+from udpp.graph import _components
 from udpp.reduction import build_witness, compile_machine
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -165,6 +167,57 @@ def brute_force_bottom_components(nodes, successors) -> set[frozenset]:
         if all(u in reach[v] for v in reach[u]):
             bottoms.add(frozenset(reach[u]))
     return bottoms
+
+
+class _Itself:
+    """A stand-in packing for graphs built here: a node packs and decodes to
+    itself, and its states are its own active states."""
+
+    @staticmethod
+    def encode(node):
+        return node
+
+    decode = encode
+
+    @staticmethod
+    def states(nodes: list, ids) -> set[StateId]:
+        return {q for v in ids for q in nodes[v].active_states()}
+
+
+def graph_of(edges, truncation_reason: str | None = None) -> ReachGraph:
+    """The ReachGraph of an edges mapping (node -> its successors; the keys,
+    in order, are the nodes), keeping the nodes as they are."""
+    keys = list(edges)
+    ids = {node: i for i, node in enumerate(keys)}
+    offsets, targets = array("q", [0]), array("q")
+    for node in keys:
+        targets.extend(ids[w] for w in edges[node])
+        offsets.append(len(targets))
+    return ReachGraph(keys, offsets, targets, _Itself(), truncation_reason)
+
+
+def bottom_sccs(graph: ReachGraph) -> list[frozenset]:
+    """The bottom components of a complete graph as node sets, in the order
+    Tarjan's pass from the nodes in order completes them; a deadlock node is
+    a singleton one."""
+    assert not graph.truncated, graph.truncation_reason
+    bottoms: list[list[int]] = []
+    _components(graph._successors, len(graph), range(len(graph)), lambda component: bottoms.append(component) or 0)
+    return [frozenset(map(graph._node, component)) for component in bottoms]
+
+
+def bottom_component_verdict(protocol: Protocol, graph: ReachGraph) -> tuple[Verdict, frozenset | None]:
+    """The verdict of a complete graph by the rule over all its bottom
+    components, and the deciding one: Out b when every one is unanimous for
+    b, else NoOutput, decided by the first mixed one, or else by the first
+    one unanimous for 0."""
+    components = bottom_sccs(graph)
+    values = [{protocol.output[q] for node in component for q in node.active_states()} for component in components]
+    for b, verdict in ((0, Verdict.OUT0), (1, Verdict.OUT1)):
+        if all(v == {b} for v in values):
+            return verdict, None
+    mixed = [component for component, v in zip(components, values) if len(v) == 2]
+    return Verdict.NO_OUTPUT, (mixed or [c for c, v in zip(components, values) if v == {0}])[0]
 
 
 def raw_output_verdict(protocol: Protocol, start: Configuration, node_cap: int = 100_000) -> str:
@@ -328,7 +381,7 @@ def fire_canonicalize_explore(
                 order.append(succ)
             succs[succ] = None
         edges[node] = tuple(succs)
-    return ReachGraph(edges, truncation_reason="; ".join(reasons.values()) or None)
+    return graph_of(edges, "; ".join(reasons.values()) or None)
 
 
 def per_start_sweep(

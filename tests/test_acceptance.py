@@ -12,6 +12,7 @@ from pathlib import Path
 
 from support import (
     apply_color_map,
+    bottom_sccs,
     brute_force_bottom_components,
     random_color_bijection,
     random_config,
@@ -34,7 +35,6 @@ from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
 from udpp.exploration import (
     ExplorationLimits,
     Verdict,
-    bottom_sccs,
     canonicalize,
     check_well_specification,
     classify_output,

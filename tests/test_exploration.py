@@ -10,11 +10,14 @@ import pytest
 from support import (
     apply_color_map,
     bfs_shortest_path,
+    bottom_component_verdict,
+    bottom_sccs,
     brute_force_bottom_components,
     compiled_witness,
     dedup_initial_configs,
     fire_canonicalize_explore,
     fresh_copy,
+    graph_of,
     list_pick_fair_run,
     per_start_sweep,
     per_successor_cycle,
@@ -31,9 +34,7 @@ from udpp.exploration import (
     EmptyConfiguration,
     ExplorationLimits,
     ReachGraph,
-    TruncatedGraph,
     Verdict,
-    bottom_sccs,
     canonicalize,
     check_well_specification,
     classify_graph,
@@ -129,8 +130,6 @@ def test_explore_node_budget_truncates(seesaw, seesaw_runs):
     assert graph.nodes == tuple(graph.edges) and len(graph) == 1
     assert graph.truncated == (graph.truncation_reason is not None)
     assert graph.root is next(iter(graph.edges))
-    with pytest.raises(TruncatedGraph):
-        bottom_sccs(graph)
 
 
 def test_explore_exact_budget_is_not_truncated(seesaw, seesaw_runs):
@@ -147,13 +146,6 @@ def test_explore_depth_budget_truncates(seesaw, seesaw_runs):
     assert graph.nodes == tuple(graph.edges) and len(graph) == 2
     assert graph.truncated == (graph.truncation_reason is not None)
     assert graph.root is next(iter(graph.edges))
-
-
-def test_reach_graph_takes_its_truncation_reason_by_keyword(seesaw, seesaw_runs):
-    graph = explore(seesaw, seesaw_runs[0], LIMITS)
-    with pytest.raises(TypeError):
-        ReachGraph(graph.edges, graph.root)
-    assert ReachGraph(graph.edges, truncation_reason="cut").truncated
 
 
 def test_explore_depth_budget_spares_deadlocks():
@@ -277,6 +269,13 @@ def test_a_start_state_the_protocol_does_not_name_is_rejected(seesaw, seesaw_run
     assert seesaw._packing_slot == [_packing(seesaw)] and _packing(seesaw).names == ["p", "q"]
 
 
+def test_a_successor_table_serves_only_its_own_protocol(seesaw, seesaw_runs):
+    table = _Table(seesaw)
+    with pytest.raises(ValueError, match="^the successor table belongs to another protocol$"):
+        explore(fresh_copy(seesaw), seesaw_runs[0], LIMITS, steps=table)
+    assert table == {} and table.nodes == table.succs == []
+
+
 def test_a_state_without_an_output_is_an_error_on_every_path():
     states = ("p", "q", "z")
     rules = (Rule(("p", "p"), Guard.EQ, ("z", "z")), Rule(("p", "q"), Guard.NEQ, ("q", "q")))
@@ -285,7 +284,7 @@ def test_a_state_without_an_output_is_an_error_on_every_path():
     graph = explore(protocol, start, LIMITS)
     message = "^state 'z' has no output value$"
     copy = fresh_copy(protocol)
-    plain = ReachGraph(graph.edges)  # a graph of decoded nodes
+    plain = graph_of(graph.edges)  # a graph of decoded nodes
     for owner, g in ((protocol, graph), (copy, graph), (protocol, plain)):
         with pytest.raises(UdppError, match=message):
             classify_graph(owner, g)
@@ -378,7 +377,7 @@ def test_bottom_sccs_deadlock_is_singleton():
 
 
 def _synthetic_graph(edges: dict) -> ReachGraph:
-    return ReachGraph({k: tuple(v) for k, v in edges.items()})
+    return graph_of({k: tuple(v) for k, v in edges.items()})
 
 
 def _random_digraph(rng: random.Random, max_nodes: int) -> dict[int, list[int]]:
@@ -503,8 +502,13 @@ def test_classify_conflicting_settled_components_mean_no_output():
 
 
 def test_classify_rejects_empty_population(seesaw):
-    with pytest.raises(EmptyConfiguration):
+    message = "^cannot classify an empty population$"
+    with pytest.raises(EmptyConfiguration, match=message):
         classify_output(seesaw, Configuration(), LIMITS)
+    graph = explore(seesaw, Configuration(), LIMITS)
+    assert not graph.truncated and len(graph) == 1
+    with pytest.raises(EmptyConfiguration, match=message):
+        classify_graph(seesaw, graph)
 
 
 def test_classify_unknown_when_truncated(seesaw, seesaw_runs):
@@ -540,6 +544,35 @@ def test_classify_agrees_with_labeled_oracle_on_random_protocols():
         config = random_config(rng, sorted(protocol.initial), max_agents=3)
         got = classify_output(protocol, config, LIMITS)
         assert got.describe() == raw_output_verdict(protocol, config)
+
+
+def test_the_opinion_pass_matches_the_rule_over_every_bottom_component():
+    # complete graphs only; the rule decides NoOutput on the first mixed
+    # bottom component, else on the first one unanimous for 0
+    rng = random.Random(131)
+    seen = Counter()
+    for _ in range(1500):
+        protocol = random_protocol(rng, max_states=5, max_rules=10)
+        start = random_config(rng, protocol.states, max_agents=4)
+        graph = explore(protocol, start, LIMITS)
+        assert not graph.truncated
+        oc = classify_graph(protocol, graph)
+        assert (oc.verdict, oc.component) == bottom_component_verdict(protocol, graph)
+        components = bottom_sccs(graph)  # the oracle reads them off the pass under test, so check them apart
+        assert set(components) == brute_force_bottom_components(graph.nodes, graph.edges.__getitem__)
+        seen[oc.verdict] += 1
+        if oc.verdict is Verdict.NO_OUTPUT:
+            opinions_of = [{protocol.output[q] for node in c for q in node.active_states()} for c in components]
+            seen["decided by a unanimous one"] += {0, 1} not in opinions_of
+            seen["several mixed ones"] += opinions_of.count({0, 1}) > 1
+    protocol, _ = compiled_witness("count4.cm", 4)
+    r1, r2 = tagged(RES1, "R1"), tagged(RES2, "R2")
+    start = Configuration({(r1, 0): 5, **{(r2, color): 1 for color in range(5)}})
+    graph = explore(protocol, start, ExplorationLimits())
+    oc = classify_graph(protocol, graph)
+    assert (oc.verdict, oc.component) == bottom_component_verdict(protocol, graph)
+    assert oc.verdict is Verdict.NO_OUTPUT and len(bottom_sccs(graph)) == 41
+    assert min(seen.values()) >= 5, seen
 
 
 def test_settled_verdicts_pin_every_bottom_component():
