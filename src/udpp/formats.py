@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .core import (
     Configuration,
+    CountKey,
     Guard,
     ParseError,
     Protocol,
@@ -18,12 +19,18 @@ from .core import (
 )
 from .counter import COUNTER_NAMES, CounterMachine, Dec, Goto, Halt, Inc, Instr, _machine_problems
 
+_AgentItem = tuple[CountKey, int]
+
 
 def _content_lines(text: str):
+    """Each non-blank line as (1-based number, line without comment and
+    surrounding whitespace); callers split it themselves."""
     for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        line = raw.strip()
         if line:
-            yield number, line.split()
+            yield number, line
 
 
 # --- protocols ---------------------------------------------------------------
@@ -36,13 +43,17 @@ def _content_lines(text: str):
 # States must be declared before use. 'any' is sugar for an eq rule plus a
 # neq rule.
 
+_GUARDS = {"eq": (Guard.EQ,), "neq": (Guard.NEQ,), "any": (Guard.EQ, Guard.NEQ)}
+
+
 def parse_protocol(text: str) -> Protocol:
     states: list[str] = []
     declared: set[str] = set()
     initial: list[str] = []
     output: dict[str, int] = {}
     rules: list[Rule] = []
-    for number, tokens in _content_lines(text):
+    for number, line in _content_lines(text):
+        tokens = line.split()
         keyword = tokens[0]
         if keyword == "state":
             if len(tokens) != 2:
@@ -74,13 +85,11 @@ def parse_protocol(text: str) -> Protocol:
             for state in (p, p2, q, q2):
                 if state not in declared:
                     raise ParseError(number, f"unknown state '{state}'")
-            if guard_token == "any":
-                rules.append(Rule((p, p2), Guard.EQ, (q, q2)))
-                rules.append(Rule((p, p2), Guard.NEQ, (q, q2)))
-            elif guard_token in ("eq", "neq"):
-                rules.append(Rule((p, p2), Guard(guard_token), (q, q2)))
-            else:
+            guards = _GUARDS.get(guard_token)
+            if guards is None:
                 raise ParseError(number, f"unknown guard '{guard_token}'")
+            for guard in guards:
+                rules.append(Rule((p, p2), guard, (q, q2)))
         else:
             raise ParseError(number, f"unknown directive '{keyword}'")
     return Protocol.make(states, rules, initial, output)
@@ -103,8 +112,9 @@ def format_protocol(protocol: Protocol) -> str:
 #
 # Repeated lines for the same (state, color) accumulate.
 
-def _add_agent_line(counts: dict[tuple[str, int], int], number: int, tokens: list[str]) -> None:
-    """Add one 'agent <state> <color> <count>' line to counts."""
+def _agent_item(seen: dict[str, _AgentItem], number: int, line: str, tokens: list[str]) -> _AgentItem:
+    """Check one 'agent <state> <color> <count>' line and remember its item
+    in seen, keyed by the line, so a caller checks each distinct line once."""
     if tokens[0] != "agent" or len(tokens) != 4:
         raise ParseError(number, "expected: agent <state> <color> <count>")
     try:
@@ -114,19 +124,39 @@ def _add_agent_line(counts: dict[tuple[str, int], int], number: int, tokens: lis
         raise ParseError(number, "color and count must be integers") from None
     if count < 1:
         raise ParseError(number, "count must be positive")
-    key = (tokens[1], color)
-    counts[key] = counts.get(key, 0) + count
+    item = seen[line] = ((tokens[1], color), count)
+    return item
+
+
+def _configuration(counts: dict[CountKey, int]) -> Configuration:
+    """The configuration of counts summed from checked agent lines."""
+    return Configuration._trusted(dict(sorted(counts.items())))
 
 
 def parse_configuration(text: str) -> Configuration:
-    counts: dict[tuple[str, int], int] = {}
-    for number, tokens in _content_lines(text):
-        _add_agent_line(counts, number, tokens)
-    return Configuration(counts)
+    seen: dict[str, _AgentItem] = {}
+    counts: dict[CountKey, int] = {}
+    for number, line in _content_lines(text):
+        key, count = seen.get(line) or _agent_item(seen, number, line, line.split())
+        counts[key] = counts.get(key, 0) + count
+    return _configuration(counts)
+
+
+class _AgentLines(dict):
+    """Memo from ((state, color), count) to its agent line, so one call
+    formats each distinct item once however many blocks repeat it."""
+
+    def __missing__(self, item: _AgentItem) -> str:
+        (state, color), count = item
+        line = self[item] = f"agent {state} {color} {count}"
+        return line
+
+    def block(self, config: Configuration) -> str:
+        return "\n".join(map(self.__getitem__, config.items()))
 
 
 def format_configuration(config: Configuration) -> str:
-    return "\n".join(f"agent {state} {color} {count}" for (state, color), count in config.items())
+    return _AgentLines().block(config)
 
 
 # --- counter machines ----------------------------------------------------------
@@ -142,7 +172,8 @@ def format_configuration(config: Configuration) -> str:
 def parse_machine(text: str) -> CounterMachine:
     instrs: list[Instr] = []
     lines_of: list[int] = []
-    for number, tokens in _content_lines(text):
+    for number, line in _content_lines(text):
+        tokens = line.split()
         keyword = tokens[0]
         if keyword == "inc":
             if len(tokens) != 2 or tokens[1] not in COUNTER_NAMES:
@@ -224,11 +255,12 @@ def format_trace(protocol: Protocol, trace: Trace) -> str:
     name_of: dict[Rule, str] = {}
     for name, rule in zip(rule_names(protocol), protocol.rules):
         name_of.setdefault(rule, name)
-    chunks = [format_configuration(trace.initial)]
+    block = _AgentLines().block
+    chunks = [block(trace.initial)]
     for instance, config in trace.steps:
         name = name_of.get(instance.rule, instance.rule.label or "unknown")
         chunks.append(f"fire {name} {instance.d} {instance.e}")
-        chunks.append(format_configuration(config))
+        chunks.append(block(config))
     return "\n\n".join(chunks) + "\n"
 
 
@@ -237,33 +269,41 @@ def parse_trace(protocol: Protocol, text: str) -> Trace:
     by_name.update(zip(rule_names(protocol), protocol.rules))
     # Counts are positive, so a block is empty exactly when no agent line
     # has been read into it.
-    blocks: list[dict[tuple[str, int], int]] = [{}]
+    seen: dict[str, _AgentItem] = {}
+    block: dict[CountKey, int] = {}
+    blocks = [block]
     fires: list[TransitionInstance] = []
     number = 0
-    for number, tokens in _content_lines(text):
-        if tokens[0] == "agent":
-            _add_agent_line(blocks[-1], number, tokens)
-        elif tokens[0] == "fire":
-            if len(tokens) != 4:
-                raise ParseError(number, "expected: fire <rule-name> <d> <e>")
-            if not blocks[-1]:
-                raise ParseError(number, "expected a configuration block before this line")
-            rule = by_name.get(tokens[1])
-            if rule is None:
-                raise ParseError(number, f"unknown rule name '{tokens[1]}'")
-            try:
-                d, e = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise ParseError(number, "colors must be integers") from None
-            instance = TransitionInstance(rule, d, e)
-            problem = instance.guard_violation()
-            if problem is not None:
-                raise ParseError(number, problem)
-            fires.append(instance)
-            blocks.append({})
-        else:
-            raise ParseError(number, f"unknown directive '{tokens[0]}'")
-    if fires and not blocks[-1]:
+    for number, line in _content_lines(text):
+        item = seen.get(line)
+        if item is None:
+            tokens = line.split()
+            if tokens[0] == "fire":
+                if len(tokens) != 4:
+                    raise ParseError(number, "expected: fire <rule-name> <d> <e>")
+                if not block:
+                    raise ParseError(number, "expected a configuration block before this line")
+                rule = by_name.get(tokens[1])
+                if rule is None:
+                    raise ParseError(number, f"unknown rule name '{tokens[1]}'")
+                try:
+                    d, e = int(tokens[2]), int(tokens[3])
+                except ValueError:
+                    raise ParseError(number, "colors must be integers") from None
+                instance = TransitionInstance(rule, d, e)
+                problem = instance.guard_violation()
+                if problem is not None:
+                    raise ParseError(number, problem)
+                fires.append(instance)
+                block = {}
+                blocks.append(block)
+                continue
+            if tokens[0] != "agent":
+                raise ParseError(number, f"unknown directive '{tokens[0]}'")
+            item = _agent_item(seen, number, line, tokens)
+        key, count = item
+        block[key] = block.get(key, 0) + count
+    if fires and not block:
         raise ParseError(number, "trace ends with a fire line but no configuration")
-    initial, *after = (Configuration(block) for block in blocks)
+    initial, *after = map(_configuration, blocks)
     return Trace(initial, tuple(zip(fires, after)))

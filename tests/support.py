@@ -18,6 +18,7 @@ from udpp.core import (
     ColorId,
     Configuration,
     Guard,
+    ParseError,
     Protocol,
     Rule,
     StateId,
@@ -40,7 +41,7 @@ from udpp.exploration import (
     classify_output,
     enumerate_initial_configs,
 )
-from udpp.formats import parse_machine
+from udpp.formats import parse_machine, rule_names
 from udpp.graph import _components
 from udpp.reduction import build_witness, compile_machine
 
@@ -404,3 +405,90 @@ def per_start_sweep(
     else:
         verdict = VERDICT_BOUNDED_OK
     return WellSpecReport(entries, verdict)
+
+
+# The trace round trip that checked and formatted every line anew, kept as
+# the reference for the one that checks and formats each distinct agent
+# line once per call.
+
+
+def _reference_content_lines(text: str):
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield number, line.split()
+
+
+def _reference_add_agent_line(counts: dict[tuple[str, int], int], number: int, tokens: list[str]) -> None:
+    """Add one 'agent <state> <color> <count>' line to counts."""
+    if tokens[0] != "agent" or len(tokens) != 4:
+        raise ParseError(number, "expected: agent <state> <color> <count>")
+    try:
+        color = int(tokens[2])
+        count = int(tokens[3])
+    except ValueError:
+        raise ParseError(number, "color and count must be integers") from None
+    if count < 1:
+        raise ParseError(number, "count must be positive")
+    key = (tokens[1], color)
+    counts[key] = counts.get(key, 0) + count
+
+
+def reference_parse_configuration(text: str) -> Configuration:
+    counts: dict[tuple[str, int], int] = {}
+    for number, tokens in _reference_content_lines(text):
+        _reference_add_agent_line(counts, number, tokens)
+    return Configuration(counts)
+
+
+def reference_format_configuration(config: Configuration) -> str:
+    return "\n".join(f"agent {state} {color} {count}" for (state, color), count in config.items())
+
+
+def reference_format_trace(protocol: Protocol, trace: Trace) -> str:
+    name_of: dict[Rule, str] = {}
+    for name, rule in zip(rule_names(protocol), protocol.rules):
+        name_of.setdefault(rule, name)
+    chunks = [reference_format_configuration(trace.initial)]
+    for instance, config in trace.steps:
+        name = name_of.get(instance.rule, instance.rule.label or "unknown")
+        chunks.append(f"fire {name} {instance.d} {instance.e}")
+        chunks.append(reference_format_configuration(config))
+    return "\n\n".join(chunks) + "\n"
+
+
+def reference_parse_trace(protocol: Protocol, text: str) -> Trace:
+    by_name = {f"r{position}": rule for position, rule in enumerate(protocol.rules)}
+    by_name.update(zip(rule_names(protocol), protocol.rules))
+    # Counts are positive, so a block is empty exactly when no agent line
+    # has been read into it.
+    blocks: list[dict[tuple[str, int], int]] = [{}]
+    fires: list[TransitionInstance] = []
+    number = 0
+    for number, tokens in _reference_content_lines(text):
+        if tokens[0] == "agent":
+            _reference_add_agent_line(blocks[-1], number, tokens)
+        elif tokens[0] == "fire":
+            if len(tokens) != 4:
+                raise ParseError(number, "expected: fire <rule-name> <d> <e>")
+            if not blocks[-1]:
+                raise ParseError(number, "expected a configuration block before this line")
+            rule = by_name.get(tokens[1])
+            if rule is None:
+                raise ParseError(number, f"unknown rule name '{tokens[1]}'")
+            try:
+                d, e = int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise ParseError(number, "colors must be integers") from None
+            instance = TransitionInstance(rule, d, e)
+            problem = instance.guard_violation()
+            if problem is not None:
+                raise ParseError(number, problem)
+            fires.append(instance)
+            blocks.append({})
+        else:
+            raise ParseError(number, f"unknown directive '{tokens[0]}'")
+    if fires and not blocks[-1]:
+        raise ParseError(number, "trace ends with a fire line but no configuration")
+    initial, *after = (Configuration(block) for block in blocks)
+    return Trace(initial, tuple(zip(fires, after)))

@@ -1,8 +1,17 @@
+import random
 from dataclasses import replace
 
 import pytest
 
-from support import seesaw_configs, seesaw_protocol
+from support import (
+    compiled_witness,
+    reference_format_configuration,
+    reference_format_trace,
+    reference_parse_configuration,
+    reference_parse_trace,
+    seesaw_configs,
+    seesaw_protocol,
+)
 from udpp.core import Configuration, Guard, ParseError, Protocol, Trace
 from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
 from udpp.exploration import random_fair_run
@@ -213,3 +222,96 @@ def test_trace_parse_of_no_lines_is_the_empty_trace():
 def test_rule_names_unique_even_for_duplicate_labels():
     for labels, expected in SEESAW_LABELS:
         assert rule_names(relabelled_seesaw(labels)) == expected
+
+
+def _parsed_or_error(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as err:
+        return str(err)
+
+
+def _mutants(rng: random.Random, text: str) -> list[str]:
+    """Seeded damage to a text: one line deleted, one line copied to another
+    place, one token corrupted, one trailing comment added."""
+    lines = text.split("\n")
+    deleted = lines[:]
+    del deleted[rng.randrange(len(deleted))]
+    copied = lines[:]
+    copied.insert(rng.randrange(len(copied) + 1), rng.choice(lines))
+    corrupted = lines[:]
+    at = rng.choice([i for i, line in enumerate(lines) if line.strip()])
+    tokens = corrupted[at].split()
+    tokens[rng.randrange(len(tokens))] = rng.choice(
+        ("x", "0", "-1", "+2", "1.5", "", "agent", "fire", "r0", "#", "99999999999999999999")
+    )
+    corrupted[at] = " ".join(tokens)
+    commented = lines[:]
+    at = rng.randrange(len(commented))
+    commented[at] += rng.choice(("  # note", "\t#", " # fire r0 0 1"))
+    return ["\n".join(mutant) for mutant in (deleted, copied, corrupted, commented)]
+
+
+def test_trace_round_trip_matches_the_line_by_line_reference():
+    labelled, start = compiled_witness("count4.cm", 4)
+    unlabelled = parse_protocol(format_protocol(labelled))
+    for seed in range(50):
+        rng = random.Random(seed)
+        # Labelled rules are written by label, unlabelled ones as r<position>.
+        protocol = (labelled, unlabelled)[seed % 2]
+        trace = random_fair_run(protocol, start, seed, 40)
+        text = format_trace(protocol, trace)
+        assert text == reference_format_trace(protocol, trace)
+        block = text.split("\n\n", 1)[0] + "\n"
+        dropped = text[: text.rindex("\n\n")] + "\n"
+        for case in (text, dropped, *_mutants(rng, text)):
+            got = _parsed_or_error(parse_trace, protocol, case)
+            expected = _parsed_or_error(reference_parse_trace, protocol, case)
+            assert got == expected, (seed, case)
+            if isinstance(got, Trace):
+                assert format_trace(protocol, got) == reference_format_trace(protocol, expected)
+        for case in (block, *_mutants(rng, block)):
+            got = _parsed_or_error(parse_configuration, case)
+            expected = _parsed_or_error(reference_parse_configuration, case)
+            assert got == expected, (seed, case)
+            if isinstance(got, Configuration):
+                assert format_configuration(got) == reference_format_configuration(expected)
+
+
+def test_repeated_agent_lines_sum_however_they_are_spelled():
+    lines = "agent p 0 1\nagent p 0 1  # again\n  agent  p\t0 1\nagent q 1 2\nagent p 0 1\n"
+    expected = Configuration({("p", 0): 4, ("q", 1): 2})
+    assert parse_configuration(lines) == expected
+    trace = parse_trace(seesaw_protocol(), f"{lines}\nfire recruit 0 1\n\n{lines}")
+    assert trace.initial == expected and trace.final == expected
+
+
+def test_a_malformed_agent_line_after_many_valid_ones_names_its_own_line():
+    valid = "agent p 0 1\nagent q 1 1\n" * 1000
+    for bad, message in (
+        ("agent p 0 x", "color and count must be integers"),
+        ("agent p 0 0", "count must be positive"),
+        ("agent p 0", "expected: agent <state> <color> <count>"),
+    ):
+        text = f"{valid}\n# comment\n{bad}\nagent p 0 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_configuration(text)
+        assert str(err.value) == f"line 2003: {message}"
+        with pytest.raises(ParseError) as err:
+            parse_trace(seesaw_protocol(), text)
+        assert str(err.value) == f"line 2003: {message}"
+
+
+def test_a_bad_fire_line_after_repeated_agent_lines_keeps_its_message():
+    block = "agent p 0 2\nagent q 1 1\n"
+    steps = f"{block}\nfire recruit 0 1\n\nagent p 0 1\nagent q 0 1\nagent q 1 1\n\nfire bounce 0 0\n\n{block}"
+    for line, message in (
+        ("fire recruit 0 0", "colors (0, 0) do not satisfy guard 'neq'"),
+        ("fire recruit 0", "expected: fire <rule-name> <d> <e>"),
+        ("fire nonsense 0 1", "unknown rule name 'nonsense'"),
+        ("agent p 0 2 fire", "expected: agent <state> <color> <count>"),
+        ("agentp 0 2", "unknown directive 'agentp'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_trace(seesaw_protocol(), f"{steps}{block}\n{line}\n\n{block}")
+        assert str(err.value) == f"line 17: {message}"
