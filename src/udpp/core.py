@@ -43,7 +43,12 @@ class Guard(Enum):
     NEQ = "neq"
 
     def holds(self, d: ColorId, e: ColorId) -> bool:
-        return d == e if self is Guard.EQ else d != e
+        return d == e if self is _EQ else d != e
+
+
+# Guard.EQ bound once: reading a member off the Enum class costs several
+# times what reading a module global does, and the hot loops test it per rule.
+_EQ = Guard.EQ
 
 
 @dataclass(frozen=True)
@@ -193,11 +198,12 @@ class Protocol:
         return []
 
     @cached_property
-    def _positions_by_pre(self) -> dict[StateId, list[int]]:
-        """pre[0] -> the positions of the rules with that first pre-state, ascending."""
-        index: dict[StateId, list[int]] = {}
+    def _positions_by_pre(self) -> dict[StateId, dict[StateId, list[int]]]:
+        """pre[0] -> pre[1] -> the positions of the rules with those
+        pre-states, ascending."""
+        index: dict[StateId, dict[StateId, list[int]]] = {}
         for position, rule in enumerate(self.rules):
-            index.setdefault(rule.pre[0], []).append(position)
+            index.setdefault(rule.pre[0], {}).setdefault(rule.pre[1], []).append(position)
         return index
 
     def rules_within(self, active: frozenset[StateId]) -> tuple[Rule, ...]:
@@ -208,12 +214,29 @@ class Protocol:
             rules = self._rules_within[active] = tuple(self.rules[i] for i in self._positions_within(active))
         return rules
 
+    def _position_of(self, rule: Rule) -> int | None:
+        """The position of the first rule equal to rule, or None when there
+        is none; only the rules with rule's pre-states are compared."""
+        rules = self.rules
+        for position in self._positions_by_pre.get(rule.pre[0], {}).get(rule.pre[1], ()):
+            if rules[position] == rule:
+                return position
+        return None
+
     def _positions_within(self, active: Iterable[StateId]) -> list[int]:
         """The positions of the rules whose two pre-states are in active,
-        ascending: the one active-set rule filter, unmemoised."""
-        active = frozenset(active)
-        by_pre, rules = self._positions_by_pre, self.rules
-        return sorted(i for q in active for i in by_pre.get(q, ()) if rules[i].pre[1] in active)
+        ascending: the one active-set rule filter, unmemoised. It looks up
+        each ordered pair of active states in the pre-state index."""
+        active = tuple(active)
+        by_pre = self._positions_by_pre
+        positions: list[int] = []
+        for q in active:
+            seconds = by_pre.get(q)
+            if seconds:
+                for q2 in active:
+                    positions += seconds.get(q2, ())
+        positions.sort()
+        return positions
 
 
 def validate_protocol(protocol: Protocol) -> list[str]:
@@ -263,7 +286,7 @@ def _candidates(protocol: Protocol, config: Configuration) -> list[tuple[Rule, C
     rows: list[tuple[Rule, ColorId, ColorId]] = []
     for rule in protocol.rules_within(frozenset(colors_at)):
         p, p2 = rule.pre
-        if rule.guard is Guard.EQ:
+        if rule.guard is _EQ:
             need = 2 if p == p2 else 1
             rows += [(rule, d, d) for d in colors_at[p] if counts.get((p2, d), 0) >= need]
         else:

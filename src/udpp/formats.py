@@ -252,14 +252,20 @@ def rule_names(protocol: Protocol) -> list[str]:
 
 
 def format_trace(protocol: Protocol, trace: Trace) -> str:
-    name_of: dict[Rule, str] = {}
-    for name, rule in zip(rule_names(protocol), protocol.rules):
-        name_of.setdefault(rule, name)
+    """The trace as text. A fired rule is named as the protocol's first
+    rule equal to it, or by its own label, or 'unknown'; only the rules the
+    trace fires are looked up."""
+    names = rule_names(protocol)
+    name_of: dict[Rule, str | None] = {}  # fired rule -> its name; None when the protocol lacks it
     block = _AgentLines().block
     chunks = [block(trace.initial)]
     for instance, config in trace.steps:
-        name = name_of.get(instance.rule, instance.rule.label or "unknown")
-        chunks.append(f"fire {name} {instance.d} {instance.e}")
+        rule = instance.rule
+        name = name_of.get(rule, False)
+        if name is False:
+            position = protocol._position_of(rule)
+            name = name_of[rule] = None if position is None else names[position]
+        chunks.append(f"fire {name or rule.label or 'unknown'} {instance.d} {instance.e}")
         chunks.append(block(config))
     return "\n\n".join(chunks) + "\n"
 

@@ -21,7 +21,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import chain
 
-from .core import Configuration, Guard, Protocol, StateId
+from .core import _EQ, Configuration, Protocol, StateId
 
 Column = tuple[tuple[StateId, int], ...]
 # A packed column is the flat int tuple (rank, count, rank, count, ...) of a
@@ -70,12 +70,21 @@ class _Packing:
     to the tuple of its packed columns. Ranks follow the names, so packed
     columns and nodes compare and sort exactly as their decoded forms do.
 
-    A move takes one agent from each state of a tuple and gives one to each
-    state of another; ``moves[key]`` is the (take, give) pair of a move. A
-    rule packs, once and when first used, to (is EQ, p, p', key, key'): an
-    EQ rule moves both agents of one column at once (key' is key), a NEQ
-    rule the agent at p by key and the one at p' by key'. Every memo here,
-    the column rewrites included, lives as long as the protocol.
+    A move takes one agent from each state of a sorted tuple and gives one
+    to each state of another; ``moves[key]`` is the (take, give) pair of a
+    move. A rule packs, once and when first used, to (is EQ, p, p', key,
+    key'): an EQ rule moves both agents of one column at once (key' is key),
+    a NEQ rule the agent at p by key and the one at p' by key'. Role order
+    does not matter to an EQ move, so role-permuted EQ rules share one key.
+
+    A rule's effect is its EQ move key, or the unordered pair of its NEQ
+    move keys. A rule whose effect an earlier rule already has packs to
+    False and is left out of :meth:`rules_within`: the earlier rule has the
+    same pre-states, so it is in every active set the later one is in, and
+    it reaches each of the later rule's successors first (see
+    :func:`_successors`). The scheduler's :func:`core._candidates` keeps
+    every rule. Every memo here, the column rewrites included, lives as
+    long as the protocol.
     """
 
     def __init__(self, protocol: Protocol) -> None:
@@ -85,7 +94,8 @@ class _Packing:
         self.ranks = {q: r for r, q in enumerate(self.names)}
         self.moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self._keys: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # move -> its key
-        self._rules: dict[int, tuple[bool, int, int, int, int]] = {}  # by rule position
+        self._rules: dict[int, tuple[bool, int, int, int, int] | bool] = {}  # by rule position
+        self._effects: set[int | frozenset[int]] = set()  # the effects of the rules packed so far
         self._within: dict[frozenset[int], tuple[tuple[bool, int, int, int, int], ...]] = {}
         self._columns = _Columns(self.names)
         self._rewrites = _Memo(self.moves)
@@ -96,24 +106,35 @@ class _Packing:
 
     def rules_within(self, active: frozenset[int]) -> tuple[tuple[bool, int, int, int, int], ...]:
         """The packed rules whose two pre-states are ranked in active, in
-        position order, memoised per active set; a miss asks
-        :meth:`Protocol._positions_within` for the names."""
+        position order and without a repeated effect, memoised per active
+        set; a miss asks :meth:`Protocol._positions_within` for the
+        positions."""
         rules = self._within.get(active)
         if rules is None:
             positions = self.protocol._positions_within(self.names[r] for r in active)
-            rules = self._within[active] = tuple(map(self._packed, positions))
+            rules = self._within[active] = tuple(filter(None, map(self._packed, positions)))
         return rules
 
-    def _packed(self, position: int) -> tuple[bool, int, int, int, int]:
+    def _packed(self, position: int) -> tuple[bool, int, int, int, int] | bool:
+        """The packed rule at position, or False when an earlier rule has
+        its effect. Positions are packed in ascending order within an active
+        set, so the earlier rule is always packed first."""
         packed = self._rules.get(position)
         if packed is None:
             rule = self.protocol.rules[position]
             (p, p2), (q, q2) = [self.ranks[s] for s in rule.pre], [self.ranks[s] for s in rule.post]
-            if rule.guard is Guard.EQ:
-                key = key2 = self._key(((p, p2), (q, q2)))
+            eq = rule.guard is _EQ
+            if eq:
+                key = key2 = effect = self._key((tuple(sorted((p, p2))), tuple(sorted((q, q2)))))
             else:
                 key, key2 = self._key(((p,), (q,))), self._key(((p2,), (q2,)))
-            packed = self._rules[position] = (rule.guard is Guard.EQ, p, p2, key, key2)
+                effect = frozenset((key, key2))
+            if effect in self._effects:
+                packed = False
+            else:
+                self._effects.add(effect)
+                packed = (eq, p, p2, key, key2)
+            self._rules[position] = packed
         return packed
 
     def _key(self, move: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
@@ -236,7 +257,12 @@ class _Memo(dict):
 class _Rewrites(dict):
     """move key -> one packed column after that move (see :class:`_Packing`),
     or False when the column lacks an agent to take; computed on first
-    lookup."""
+    lookup.
+
+    A fill reads the ranks off the column to decide False, and copies the
+    counts only for a move that the column enables and that changes it. The
+    copy keeps the column's rank order, so it is sorted again only when the
+    move gives a rank the column lacks, as :func:`core._apply` does."""
 
     def __init__(self, column: tuple[int, ...], moves: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
         super().__init__()
@@ -244,19 +270,34 @@ class _Rewrites(dict):
 
     def __missing__(self, key: int) -> tuple[int, ...] | bool:
         take, give = self.moves[key]
-        counts = dict(zip(self.column[::2], self.column[1::2]))
-        for r in take:
-            left = counts.get(r, 0)
-            if not left:
-                self[key] = False
-                return False
-            counts[r] = left - 1
-        for r in give:
-            counts[r] = counts.get(r, 0) + 1
-        for r in take:
-            if counts.get(r) == 0:
-                del counts[r]
-        after = self[key] = tuple(chain.from_iterable(sorted(counts.items())))
+        column = self.column
+        ranks = column[::2]
+        low, high = take[0], take[-1]  # take is one rank or two sorted ones
+        if (
+            high not in ranks
+            or low not in ranks
+            or len(take) == 2 and low == high and column[2 * ranks.index(low) + 1] < 2
+        ):
+            self[key] = False
+            return False
+        if take == give:
+            after = column
+        else:
+            counts = dict(zip(ranks, column[1::2]))
+            for r in take:
+                counts[r] -= 1
+            grown = False
+            for r in give:
+                if r in counts:
+                    counts[r] += 1
+                else:
+                    counts[r] = 1
+                    grown = True
+            for r in take:
+                if counts.get(r) == 0:
+                    del counts[r]
+            after = tuple(chain.from_iterable(sorted(counts.items()) if grown else counts.items()))
+        self[key] = after
         return after
 
 
@@ -272,6 +313,12 @@ def _successors(packing: _Packing, node: Packed) -> dict[Packed, None]:
     color of each class (for e, the second one when c2 is c), and these
     first instances come in the order of (c, c2). Trying the classes in that
     order therefore meets each successor where firing meets it first.
+
+    The packed rule list leaves out each rule whose effect an earlier rule
+    has (see :class:`_Packing`). The earlier rule is in the list whenever
+    the later one would be, and its instances reach every successor of the
+    later rule's at a smaller rule position, so the result and its order
+    are what the full list gives.
 
     Each class fetches its column's rewrites once from the packing's memo,
     which the protocol keeps, keyed by the packed rules' move keys (see

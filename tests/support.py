@@ -11,7 +11,7 @@ import random
 from array import array
 from collections import deque
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from pathlib import Path
 
 from udpp.core import (
@@ -90,6 +90,49 @@ def random_protocol(
     initial = rng.sample(states, rng.randint(1, n))
     output = {q: rng.randint(0, 1) for q in states}
     return Protocol.make(states, rules, initial, output)
+
+
+def rule_effect(rule: Rule) -> tuple:
+    """What firing the rule does, by state names: an EQ rule takes its
+    pre-states and gives its post-states as multisets; a NEQ rule makes two
+    one-agent moves, in either role order."""
+    if rule.guard is Guard.EQ:
+        return (Guard.EQ, tuple(sorted(rule.pre)), tuple(sorted(rule.post)))
+    return (Guard.NEQ, frozenset(zip(rule.pre, rule.post)))
+
+
+def with_repeated_effects(rng: random.Random, protocol: Protocol, extra: int = 4) -> Protocol:
+    """protocol with up to extra rules added at random positions, each with
+    the effect of some rule it holds or adds: a copy that differs only in
+    label, a NEQ rule with its roles swapped, an EQ rule with its pre- or
+    post-states permuted; or a fresh catalyst rule (an agent keeps its
+    state) or an 'any' rule's EQ and NEQ halves, added so that later
+    additions can repeat them."""
+    rules = list(protocol.rules)
+    states = protocol.states
+    for _ in range(rng.randint(1, extra)):
+        kind = rng.choice(("label", "swap", "permute", "catalyst", "any"))
+        if kind in ("catalyst", "any") or not rules:
+            pre = (rng.choice(states), rng.choice(states))
+            post = (rng.choice(states), rng.choice(states))
+            if kind == "catalyst":
+                post = (pre[0], post[1]) if rng.random() < 0.5 else (post[0], pre[1])
+                added = [Rule(pre, rng.choice((Guard.EQ, Guard.NEQ)), post)]
+            else:
+                added = [Rule(pre, Guard.EQ, post), Rule(pre, Guard.NEQ, post)]
+        else:
+            base = rng.choice(rules)
+            (p, p2), (q, q2) = base.pre, base.post
+            if kind == "label":
+                added = [Rule(base.pre, base.guard, base.post, label=f"copy{len(rules)}")]
+            elif kind == "swap" or base.guard is Guard.NEQ:
+                added = [Rule((p2, p), base.guard, (q2, q))]
+            else:
+                pre, post = rng.choice((((p2, p), (q, q2)), ((p, p2), (q2, q)), ((p2, p), (q2, q))))
+                added = [Rule(pre, Guard.EQ, post)]
+        for rule in added:
+            rules.insert(rng.randint(0, len(rules)), rule)
+    return Protocol.make(states, rules, protocol.initial, protocol.output)
 
 
 def fresh_copy(protocol: Protocol) -> Protocol:
@@ -405,6 +448,25 @@ def per_start_sweep(
     else:
         verdict = VERDICT_BOUNDED_OK
     return WellSpecReport(entries, verdict)
+
+
+def reference_rewrite(column: tuple[int, ...], take: tuple[int, ...], give: tuple[int, ...]) -> tuple[int, ...] | bool:
+    """A packed column (rank, count, ...) after taking one agent from each
+    rank of take and giving one to each rank of give, through a count dict
+    sorted afresh; False when the column lacks an agent to take. This is
+    the column rewrite that copied and sorted on every fill."""
+    counts = dict(zip(column[::2], column[1::2]))
+    for r in take:
+        left = counts.get(r, 0)
+        if not left:
+            return False
+        counts[r] = left - 1
+    for r in give:
+        counts[r] = counts.get(r, 0) + 1
+    for r in take:
+        if counts.get(r) == 0:
+            del counts[r]
+    return tuple(chain.from_iterable(sorted(counts.items())))
 
 
 # The trace round trip that checked and formatted every line anew, kept as

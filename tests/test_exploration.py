@@ -3,6 +3,7 @@ import hashlib
 import random
 import weakref
 from collections import Counter
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,11 @@ from support import (
     random_config,
     random_protocol,
     raw_output_verdict,
+    reference_rewrite,
+    rule_effect,
     seesaw_configs,
     seesaw_protocol,
+    with_repeated_effects,
 )
 from udpp.core import Configuration, Guard, Protocol, Rule, Trace, UdppError
 from udpp.exploration import (
@@ -49,7 +53,7 @@ from udpp.exploration import (
 )
 from udpp.formats import format_trace, parse_configuration, parse_machine, parse_protocol
 from udpp.exploration import _class_verdicts
-from udpp.graph import _packing, _Table
+from udpp.graph import _packing, _Rewrites, _Table
 from udpp.reduction import RES1, RES2, certificate_verdict, compile_machine, tagged
 
 LIMITS = ExplorationLimits(max_nodes=10_000)
@@ -716,6 +720,56 @@ def test_sweep_matches_the_per_start_oracle_on_random_protocols():
         report = _same_sweep(protocol, agents, colors, ExplorationLimits(max_depth=rng.randint(0, 2)))
         by_depth += any(oc.verdict is Verdict.UNKNOWN for _, oc in report.entries)
     assert min(by_nodes, by_depth) >= 90
+
+
+def test_rules_with_a_repeated_effect_leave_only_the_packed_rule_lists():
+    rng = random.Random(389)
+    dropped = by_nodes = by_depth = 0
+    for _ in range(300):
+        protocol = with_repeated_effects(rng, random_protocol(rng, max_states=4, max_rules=4))
+        rules = protocol.rules
+        first: dict = {}  # effect -> the first position with it
+        for position, rule in enumerate(rules):
+            first.setdefault(rule_effect(rule), position)
+        packing = _packing(protocol)
+        for _ in range(4):
+            active = frozenset(rng.sample(protocol.states, rng.randint(1, len(protocol.states))))
+            got = packing.rules_within(frozenset(packing.ranks[q] for q in active))
+            within = [i for i, rule in enumerate(rules) if rule.pre[0] in active and rule.pre[1] in active]
+            kept = [i for i in within if first[rule_effect(rules[i])] == i]
+            assert got == tuple(map(packing._packed, kept))
+            assert all(packing._packed(i) is False for i in within if i not in kept)
+            dropped += len(within) - len(kept)
+        # the scheduler keeps every rule; the oracle fires them all
+        start = random_config(rng, protocol.states, max_agents=5, max_colors=3)
+        _same_as_oracle(protocol, start, ExplorationLimits())
+        by_nodes += _same_as_oracle(protocol, start, ExplorationLimits(max_nodes=rng.randint(1, 6))).truncated
+        by_depth += _same_as_oracle(protocol, start, ExplorationLimits(max_depth=rng.randint(0, 3))).truncated
+        _same_sweep(protocol, 3, 2, ExplorationLimits())
+    assert dropped >= 300 and min(by_nodes, by_depth) >= 50
+
+
+def test_a_column_rewrite_matches_the_copy_and_sort_fill():
+    rng = random.Random(71)
+    ranks = range(6)
+    takes = [(r,) for r in ranks] + list(combinations_with_replacement(ranks, 2))
+    moves = [(take, give) for take in takes for give in takes if len(take) == len(give)]
+    cases = Counter()
+    for _ in range(150):
+        chosen = sorted(rng.sample(ranks, rng.randint(1, 4)))
+        column = tuple(x for r in chosen for x in (r, rng.randint(1, 2)))
+        rewrites = _Rewrites(column, moves)
+        for key, (take, give) in enumerate(moves):
+            want = reference_rewrite(column, take, give)
+            assert rewrites[key] == want, (column, take, give)
+            counts = dict(zip(column[::2], column[1::2]))
+            if take[0] == take[-1] and len(take) == 2 and take[0] in counts:
+                cases["double take", counts[take[0]]] += 1
+            if want and set(take) & set(give) and take != give:
+                cases["give back"] += 1
+            if want and min(give) < column[0]:
+                cases["new lowest rank"] += 1
+    assert set(cases) == {("double take", 1), ("double take", 2), "give back", "new lowest rank"}
 
 
 def test_explorations_sharing_one_table_match_table_free_ones(seesaw):

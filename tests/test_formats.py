@@ -5,14 +5,16 @@ import pytest
 
 from support import (
     compiled_witness,
+    random_protocol,
     reference_format_configuration,
     reference_format_trace,
     reference_parse_configuration,
     reference_parse_trace,
     seesaw_configs,
     seesaw_protocol,
+    with_repeated_effects,
 )
-from udpp.core import Configuration, Guard, ParseError, Protocol, Trace
+from udpp.core import Configuration, Guard, ParseError, Protocol, Rule, Trace, TransitionInstance
 from udpp.counter import CounterMachine, Dec, Goto, Halt, Inc
 from udpp.exploration import random_fair_run
 from udpp.formats import (
@@ -276,6 +278,22 @@ def test_trace_round_trip_matches_the_line_by_line_reference():
             assert got == expected, (seed, case)
             if isinstance(got, Configuration):
                 assert format_configuration(got) == reference_format_configuration(expected)
+
+
+def test_a_fired_rule_is_named_as_the_first_rule_equal_to_it():
+    rng = random.Random(43)
+    labels = (None, None, "a", "b", "r0", "r9", "two words", "x#y")
+    for _ in range(300):
+        protocol = with_repeated_effects(rng, random_protocol(rng, max_states=3, max_rules=4))
+        rules = [replace(rule, label=rng.choice(labels)) for rule in protocol.rules]
+        protocol = Protocol.make(protocol.states, rules, protocol.initial, protocol.output)
+        states = protocol.states
+        stray = Rule((rng.choice(states), rng.choice(states)), Guard.NEQ, (rng.choice(states), "elsewhere"))
+        # the protocol's rules, equal copies of them, and rules it lacks, labelled or not
+        pool = [*rules, *(replace(rule, label=None) for rule in rules), stray, replace(stray, label="stray")]
+        start = Configuration({(states[0], 0): 1})
+        trace = Trace(start, tuple((TransitionInstance(rng.choice(pool), 0, 1), start) for _ in range(rng.randint(0, 8))))
+        assert format_trace(protocol, trace) == reference_format_trace(protocol, trace)
 
 
 def test_repeated_agent_lines_sum_however_they_are_spelled():
