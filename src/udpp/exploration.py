@@ -40,7 +40,9 @@ from .graph import (
     CanonicalConfig,
     Column,
     ReachGraph,
+    _column_text,
     _components,
+    _Lazy,
     _packing,
     _successors,
     _Table,
@@ -94,36 +96,40 @@ def explore(
     sharing a table beyond them only grows it.
     """
     packing = _packing(protocol)
-    unknown = start.active_states() - packing.ranks.keys()
-    if unknown:
-        raise UdppError(f"start holds states the protocol does not name: {', '.join(sorted(unknown))}")
-    root = packing.encode(start if isinstance(start, CanonicalConfig) else canonicalize(start))
+    canon = start if isinstance(start, CanonicalConfig) else canonicalize(start)
+    try:
+        root = packing.encode(canon)
+    except KeyError:
+        unknown = canon.active_states() - packing.ranks.keys()
+        raise UdppError(f"start holds states the protocol does not name: {', '.join(sorted(unknown))}") from None
     if steps is None:
         expand = partial(_successors, packing)
     elif steps.packing is packing:
         expand, root = steps.expand, steps[root]
     else:
         raise ValueError("the successor table belongs to another protocol")
+    max_nodes, max_depth = limits.max_nodes, limits.max_depth
     found = {root: 0}  # node (packed, or its table id) -> its id here
-    order = [root]  # id here -> node
-    depths: list[int] = [0]  # depths[i] is the depth of order[i]
+    order = [root]  # id here -> node; it grows as nodes are found: the breadth-first queue
+    depth, level_end = 0, 1  # the depth of order[v], and the id where that depth ends
     offsets, targets = array("q", [0]), array("q")
     link = targets.append
     reasons: dict[str, str] = {}  # budget -> message, in the order first hit
-    for node, depth in zip(order, depths):  # both grow as nodes are found: the breadth-first queue
+    for v, node in enumerate(order):
+        if v == level_end:
+            depth, level_end = depth + 1, len(order)
         nexts = expand(node)
-        if nexts and limits.max_depth is not None and depth >= limits.max_depth:
-            reasons.setdefault("depth", f"depth budget exceeded (max_depth={limits.max_depth})")
+        if nexts and max_depth is not None and depth >= max_depth:
+            reasons.setdefault("depth", f"depth budget exceeded (max_depth={max_depth})")
             nexts = ()
         for succ in nexts:
             known = found.get(succ)
             if known is None:
-                if len(order) >= limits.max_nodes:
-                    reasons.setdefault("node", f"node budget exceeded (max_nodes={limits.max_nodes})")
+                if len(order) >= max_nodes:
+                    reasons.setdefault("node", f"node budget exceeded (max_nodes={max_nodes})")
                     continue
                 known = found[succ] = len(order)
                 order.append(succ)
-                depths.append(depth + 1)
             link(known)
         offsets.append(len(targets))
     keys = order if steps is None else list(map(steps.nodes.__getitem__, order))
@@ -174,6 +180,9 @@ class OutputClass:
         if self.verdict is Verdict.UNKNOWN:
             return f"Unknown({self.reason})"
         return self.verdict.value
+
+
+_SETTLED = tuple(map(OutputClass, _BY_MASK))  # one shared verdict per mask, for the sweep's starts
 
 
 def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
@@ -260,7 +269,9 @@ class WellSpecReport:
     verdict: str
 
     def lines(self) -> list[str]:
-        out = [f"{config} {oc.describe()}" for config, oc in self.entries]
+        """One line per entry, then the verdict line; each distinct column is written once."""
+        column_text = _Lazy(_column_text).__getitem__
+        out = [f"{config._text(column_text)} {oc.describe()}" for config, oc in self.entries]
         out.append(f"verdict: {self.verdict}")
         return out
 
@@ -279,11 +290,12 @@ def check_well_specification(
     if max_agents < 1:
         raise ValueError("max_agents must be at least 1")
     entries: list[tuple[CanonicalConfig, OutputClass]] = []
+    size = _Lazy(lambda column: sum(count for _, count in column)).__getitem__  # column -> its agents
     for n in range(1, max_agents + 1):
         starts = enumerate_initial_configs(protocol, n, max_colors)
         classes: dict[tuple[int, ...], list[CanonicalConfig]] = {}
         for canon in starts:
-            histogram = tuple(sorted(sum(count for _, count in column) for column in canon))
+            histogram = tuple(sorted(map(size, canon)))
             classes.setdefault(histogram, []).append(canon)
         by_start: dict[CanonicalConfig, OutputClass] = {}
         for members in classes.values():
@@ -313,7 +325,7 @@ def _class_verdicts(protocol: Protocol, jobs: list[tuple[CanonicalConfig, Explor
         table.expanded, len(table), [root for root, reason in roots if reason is None],
         lambda component: _mask(protocol, table.packing.states(table.nodes, component)),
     )
-    return [OutputClass(Verdict.UNKNOWN if reason else _BY_MASK[masks[root] & 3], reason) for root, reason in roots]
+    return [OutputClass(Verdict.UNKNOWN, reason) if reason else _SETTLED[masks[root] & 3] for root, reason in roots]
 
 
 def random_fair_run(

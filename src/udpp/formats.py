@@ -238,17 +238,31 @@ def format_machine(machine: CounterMachine) -> str:
 
 def rule_names(protocol: Protocol) -> list[str]:
     """One unique single-token display name per rule, aligned with protocol.rules."""
-    positional = [f"r{position}" for position in range(len(protocol.rules))]
-    taken = set(positional)
-    names: list[str] = []
-    for rule, fallback in zip(protocol.rules, positional):
-        label = rule.label
-        if label and label.split() == [label] and "#" not in label and label not in taken:
-            taken.add(label)
-            names.append(label)
-        else:
-            names.append(fallback)
+    names = [f"r{position}" for position in range(len(protocol.rules))]
+    for label, position in _labels(protocol).items():
+        names[position] = label
     return names
+
+
+def _labels(protocol: Protocol) -> dict[str, int]:
+    """label -> position, for each rule named by its label (see above)."""
+    labels: dict[str, int] = {}
+    for position, rule in enumerate(protocol.rules):
+        label = rule.label
+        if label and label.split() == [label] and "#" not in label and label not in labels:
+            if _positional(label, len(protocol.rules)) is None:
+                labels[label] = position
+    return labels
+
+
+def _positional(name: str, count: int) -> int | None:
+    """k when name is r<k>, the positional name of one of count rules, else None."""
+    digits = name[1:]
+    if name[:1] == "r" and digits.isascii() and digits.isdigit() and len(digits) <= len(str(count)):
+        position = int(digits)
+        if position < count and str(position) == digits:
+            return position
+    return None
 
 
 def format_trace(protocol: Protocol, trace: Trace) -> str:
@@ -271,8 +285,8 @@ def format_trace(protocol: Protocol, trace: Trace) -> str:
 
 
 def parse_trace(protocol: Protocol, text: str) -> Trace:
-    by_name = {f"r{position}": rule for position, rule in enumerate(protocol.rules)}
-    by_name.update(zip(rule_names(protocol), protocol.rules))
+    rules = protocol.rules
+    labels = _labels(protocol)
     # Counts are positive, so a block is empty exactly when no agent line
     # has been read into it.
     seen: dict[str, _AgentItem] = {}
@@ -289,9 +303,12 @@ def parse_trace(protocol: Protocol, text: str) -> Trace:
                     raise ParseError(number, "expected: fire <rule-name> <d> <e>")
                 if not block:
                     raise ParseError(number, "expected a configuration block before this line")
-                rule = by_name.get(tokens[1])
-                if rule is None:
-                    raise ParseError(number, f"unknown rule name '{tokens[1]}'")
+                position = labels.get(tokens[1])
+                if position is None:
+                    position = _positional(tokens[1], len(rules))
+                    if position is None:
+                        raise ParseError(number, f"unknown rule name '{tokens[1]}'")
+                rule = rules[position]
                 try:
                     d, e = int(tokens[2]), int(tokens[3])
                 except ValueError:

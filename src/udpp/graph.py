@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
+from bisect import bisect
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import chain
@@ -47,9 +48,15 @@ class CanonicalConfig(tuple[Column, ...]):
         return Configuration({(q, i): n for i, column in enumerate(self) for q, n in column})
 
     def __str__(self) -> str:
-        if not self:
-            return "{}"
-        return "+".join("{" + ",".join(f"{q}:{n}" for q, n in column) + "}" for column in self)
+        return self._text(_column_text)
+
+    def _text(self, column_text: Callable[[Column], str]) -> str:
+        """The text form, with each column written by column_text."""
+        return "+".join(map(column_text, self)) if self else "{}"
+
+
+def _column_text(column: Column) -> str:
+    return "{" + ",".join(f"{q}:{n}" for q, n in column) + "}"
 
 
 def canonicalize(config: Configuration) -> CanonicalConfig:
@@ -83,8 +90,9 @@ class _Packing:
     same pre-states, so it is in every active set the later one is in, and
     it reaches each of the later rule's successors first (see
     :func:`_successors`). The scheduler's :func:`core._candidates` keeps
-    every rule. Every memo here, the column rewrites included, lives as
-    long as the protocol.
+    every rule. Every memo here, the column rewrites and the column ->
+    packed column memo that :meth:`encode` reads included, lives as long as
+    the protocol.
     """
 
     def __init__(self, protocol: Protocol) -> None:
@@ -97,8 +105,10 @@ class _Packing:
         self._rules: dict[int, tuple[bool, int, int, int, int] | bool] = {}  # by rule position
         self._effects: set[int | frozenset[int]] = set()  # the effects of the rules packed so far
         self._within: dict[frozenset[int], tuple[tuple[bool, int, int, int, int], ...]] = {}
-        self._columns = _Columns(self.names)
-        self._rewrites = _Memo(self.moves)
+        names, ranks, moves = self.names, self.ranks, self.moves
+        self._columns = _Lazy(lambda column: tuple(zip(map(names.__getitem__, column[::2]), column[1::2])))
+        self._packed_columns = _Lazy(lambda column: tuple(x for q, n in column for x in (ranks[q], n)))
+        self._rewrites = _Lazy(lambda column: _Rewrites(column, moves))
 
     @property
     def protocol(self) -> Protocol:
@@ -145,8 +155,9 @@ class _Packing:
         return key
 
     def encode(self, canon: CanonicalConfig) -> Packed:
-        ranks = self.ranks
-        return tuple(tuple(x for q, n in column for x in (ranks[q], n)) for column in canon)
+        """canon packed, one memo lookup per column; a state without a rank
+        raises KeyError and leaves the memo as it was."""
+        return tuple(map(self._packed_columns.__getitem__, canon))
 
     def decode(self, node: Packed) -> CanonicalConfig:
         return CanonicalConfig(map(self._columns.__getitem__, node))
@@ -156,16 +167,19 @@ class _Packing:
         return set(map(self.names.__getitem__, {r for v in ids for column in nodes[v] for r in column[::2]}))
 
 
-class _Columns(dict):
-    """packed column -> column, decoded on first lookup."""
+class _Lazy(dict):
+    """key -> fill(key), computed on first lookup; a fill that raises adds
+    no entry."""
 
-    def __init__(self, names: list[StateId]) -> None:
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable) -> None:
         super().__init__()
-        self.names = names
+        self.fill = fill
 
-    def __missing__(self, column: tuple[int, ...]) -> Column:
-        decoded = self[column] = tuple(zip(map(self.names.__getitem__, column[::2]), column[1::2]))
-        return decoded
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def _packing(protocol: Protocol) -> _Packing:
@@ -242,27 +256,17 @@ class ReachGraph:
         return len(self._keys)
 
 
-class _Memo(dict):
-    """packed column -> its :class:`_Rewrites`, made on first lookup."""
-
-    def __init__(self, moves: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
-        super().__init__()
-        self.moves = moves
-
-    def __missing__(self, column: tuple[int, ...]) -> _Rewrites:
-        rewrites = self[column] = _Rewrites(column, self.moves)
-        return rewrites
-
-
 class _Rewrites(dict):
     """move key -> one packed column after that move (see :class:`_Packing`),
     or False when the column lacks an agent to take; computed on first
     lookup.
 
-    A fill reads the ranks off the column to decide False, and copies the
-    counts only for a move that the column enables and that changes it. The
-    copy keeps the column's rank order, so it is sorted again only when the
-    move gives a rank the column lacks, as :func:`core._apply` does."""
+    A fill reads the ranks off the column to decide False, and copies only
+    for a move that the column enables and that changes it. A one-agent move
+    edits a list copy of the packed column in place, inserting a new rank at
+    its sorted position; a two-agent move copies the counts, keeping the
+    column's rank order, and sorts again only when it gives a rank the
+    column lacks, as :func:`core._apply` does."""
 
     def __init__(self, column: tuple[int, ...], moves: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
         super().__init__()
@@ -282,6 +286,22 @@ class _Rewrites(dict):
             return False
         if take == give:
             after = column
+        elif len(take) == 1:
+            (b,) = give
+            out = list(column)
+            i = 2 * ranks.index(low)
+            if b in ranks:
+                out[2 * ranks.index(b) + 1] += 1
+            else:
+                j = 2 * bisect(ranks, b)
+                out[j:j] = (b, 1)
+                if j <= i:
+                    i += 2
+            if out[i + 1] == 1:
+                del out[i : i + 2]
+            else:
+                out[i + 1] -= 1
+            after = tuple(out)
         else:
             counts = dict(zip(ranks, column[1::2]))
             for r in take:

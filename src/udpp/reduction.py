@@ -470,10 +470,16 @@ def run_monitors(
       broadcast or the halt-instruction drain;
     - reservoir-no-refill: no agent ever moves into R1 or R2.
 
-    The last two hold on every real execution of a compiled protocol. The
-    first two can be triggered by legitimate random scheduling (a premature
-    zero branch is a valid fire that only later gets caught by the violation
-    rules), so randomized testing normally restricts to the last two.
+    The last two hold on every real execution from a witness-shaped start,
+    one with a single R2 agent per colour as :func:`build_witness` gives:
+    tags never change, so no two R2-tagged agents ever share a colour and no
+    input-violation rule fires. From other starts a real execution can break
+    sink1-removal-discipline: the setup chain can put one of two same-colour
+    R2 agents into sink1, and the input-violation rule then fires on it and
+    the other, moving it out of sink1. The first two can be triggered by
+    legitimate random scheduling (a premature zero branch is a valid fire
+    that only later gets caught by the violation rules), so randomized
+    testing normally restricts to the last two and to witness-shaped starts.
 
     The monitors read each step's configuration as recorded, so a forged
     step is judged against the trace it claims, not against a replay.

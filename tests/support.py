@@ -41,7 +41,7 @@ from udpp.exploration import (
     classify_output,
     enumerate_initial_configs,
 )
-from udpp.formats import parse_machine, rule_names
+from udpp.formats import parse_machine
 from udpp.graph import _components
 from udpp.reduction import build_witness, compile_machine
 
@@ -450,6 +450,13 @@ def per_start_sweep(
     return WellSpecReport(entries, verdict)
 
 
+def reference_config_text(config: CanonicalConfig) -> str:
+    """A canonical configuration's text, written column by column."""
+    if not config:
+        return "{}"
+    return "+".join("{" + ",".join(f"{q}:{n}" for q, n in column) + "}" for column in config)
+
+
 def reference_rewrite(column: tuple[int, ...], take: tuple[int, ...], give: tuple[int, ...]) -> tuple[int, ...] | bool:
     """A packed column (rank, count, ...) after taking one agent from each
     rank of take and giving one to each rank of give, through a count dict
@@ -507,9 +514,26 @@ def reference_format_configuration(config: Configuration) -> str:
     return "\n".join(f"agent {state} {color} {count}" for (state, color), count in config.items())
 
 
+def reference_rule_names(protocol: Protocol) -> list[str]:
+    """Each rule's label, unless it is missing, not one token, holds '#',
+    repeats an earlier label or is in the set of every r<position> name;
+    else r<position>."""
+    positional = [f"r{position}" for position in range(len(protocol.rules))]
+    taken = set(positional)
+    names: list[str] = []
+    for rule, fallback in zip(protocol.rules, positional):
+        label = rule.label
+        if label and label.split() == [label] and "#" not in label and label not in taken:
+            taken.add(label)
+            names.append(label)
+        else:
+            names.append(fallback)
+    return names
+
+
 def reference_format_trace(protocol: Protocol, trace: Trace) -> str:
     name_of: dict[Rule, str] = {}
-    for name, rule in zip(rule_names(protocol), protocol.rules):
+    for name, rule in zip(reference_rule_names(protocol), protocol.rules):
         name_of.setdefault(rule, name)
     chunks = [reference_format_configuration(trace.initial)]
     for instance, config in trace.steps:
@@ -521,7 +545,7 @@ def reference_format_trace(protocol: Protocol, trace: Trace) -> str:
 
 def reference_parse_trace(protocol: Protocol, text: str) -> Trace:
     by_name = {f"r{position}": rule for position, rule in enumerate(protocol.rules)}
-    by_name.update(zip(rule_names(protocol), protocol.rules))
+    by_name.update(zip(reference_rule_names(protocol), protocol.rules))
     # Counts are positive, so a block is empty exactly when no agent line
     # has been read into it.
     blocks: list[dict[tuple[str, int], int]] = [{}]

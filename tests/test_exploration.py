@@ -26,6 +26,7 @@ from support import (
     random_config,
     random_protocol,
     raw_output_verdict,
+    reference_config_text,
     reference_rewrite,
     rule_effect,
     seesaw_configs,
@@ -271,6 +272,31 @@ def test_a_start_state_the_protocol_does_not_name_is_rejected(seesaw, seesaw_run
     explore(seesaw, seesaw_runs[0], LIMITS, steps=steps)
     # one packing per protocol, ranking its own states only
     assert seesaw._packing_slot == [_packing(seesaw)] and _packing(seesaw).names == ["p", "q"]
+
+
+def test_an_unnamed_start_state_is_rejected_alike_on_a_cold_and_a_warm_encode_memo(seesaw):
+    message = "^start holds states the protocol does not name: a, pz$"
+    # one column the protocol names, one it does not, and one it names in part
+    start = Configuration({("p", 0): 2, ("a", 1): 1, ("pz", 1): 2, ("q", 2): 1, ("pz", 2): 1})
+    known = Configuration({("p", 0): 2, ("q", 1): 1, ("q", 2): 1})
+    for warm in (False, True):
+        protocol = fresh_copy(seesaw)
+        memo = _packing(protocol)._packed_columns
+        if warm:
+            for n in range(1, 4):
+                for canon in enumerate_initial_configs(protocol, n, 3):
+                    explore(protocol, canon, LIMITS)
+            assert len(memo) >= 9
+        before = dict(memo)
+        for given in (start, canonicalize(start)):
+            with pytest.raises(UdppError, match=message):
+                explore(protocol, given, LIMITS)
+            with pytest.raises(UdppError, match=message):
+                explore(protocol, given, LIMITS, steps=_Table(protocol))
+        # a failed fill adds no entry; the columns the protocol names may stay
+        assert before.items() <= memo.items()
+        assert all({q for q, _ in column} <= {"p", "q"} for column in memo)
+        assert _same_as_oracle(protocol, known, LIMITS).root == canonicalize(known)
 
 
 def test_a_successor_table_serves_only_its_own_protocol(seesaw, seesaw_runs):
@@ -696,6 +722,8 @@ def _same_sweep(protocol, max_agents, max_colors, limits):
     oracle = per_start_sweep(protocol, max_agents, max_colors, limits)
     assert report.entries == oracle.entries
     assert report.verdict == oracle.verdict
+    text = [f"{reference_config_text(config)} {oc.describe()}" for config, oc in oracle.entries]
+    assert report.lines() == [*text, f"verdict: {oracle.verdict}"]
     return report
 
 

@@ -10,6 +10,7 @@ from support import (
     reference_format_trace,
     reference_parse_configuration,
     reference_parse_trace,
+    reference_rule_names,
     seesaw_configs,
     seesaw_protocol,
     with_repeated_effects,
@@ -224,6 +225,26 @@ def test_trace_parse_of_no_lines_is_the_empty_trace():
 def test_rule_names_unique_even_for_duplicate_labels():
     for labels, expected in SEESAW_LABELS:
         assert rule_names(relabelled_seesaw(labels)) == expected
+
+
+def test_fire_names_resolve_as_in_the_full_name_table():
+    rng = random.Random(59)
+    # positional look-alikes: a leading zero, a non-ASCII digit, a sign, an
+    # index past the last rule, more digits than int() reads, a bare 'r';
+    # and labels that cannot be names
+    names = (
+        "r0", "r1", "r2", "r3", "r10", "r00", "r01", "r٣", "r²", "r+1", "r-0", "r" + "1" * 5000, "r", "R1", "rx",
+        "a", "b", "two words", "x#y",
+    )
+    for _ in range(400):
+        protocol = random_protocol(rng, max_states=2, max_rules=rng.randint(1, 12))
+        rules = [replace(rule, label=rng.choice((None, *names))) for rule in protocol.rules]
+        protocol = Protocol.make(protocol.states, rules, protocol.initial, protocol.output)
+        assert rule_names(protocol) == reference_rule_names(protocol)
+        q = protocol.states[0]
+        for name in rng.sample(names, 6):
+            text = f"agent {q} 0 1\nagent {q} 1 1\n\nfire {name} {rng.randint(0, 1)} 1\n\nagent {q} 0 2\n"
+            assert _parsed_or_error(parse_trace, protocol, text) == _parsed_or_error(reference_parse_trace, protocol, text)
 
 
 def _parsed_or_error(parse, *args):

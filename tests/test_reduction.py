@@ -423,11 +423,37 @@ def test_monitors_flag_counter_agents_moved_by_other_families():
 
 
 def test_monitors_sink_and_reservoir_hold_on_random_runs():
-    protocol = compile_machine(HALT)
-    witness = build_witness(HALT, 1)
-    for seed in range(10):
-        trace = random_fair_run(protocol, witness, seed=seed, max_steps=120)
-        assert run_monitors(protocol, trace, (MONITOR_SINK1, MONITOR_RESERVOIR)) == []
+    # from witness-shaped starts, one R2 agent per colour: the witness of a
+    # halting machine, and the same shape for pump, which never halts and so
+    # has no witness
+    for machine, start in (
+        (COUNT4, build_witness(COUNT4, 4)),
+        (HALT, build_witness(HALT, 1)),
+        (PUMP, Configuration({**{("R1@R1", c): 9 for c in range(4)}, **{("R2@R2", c): 1 for c in range(4)}})),
+    ):
+        protocol = compile_machine(machine)
+        for seed in range(20):
+            trace = random_fair_run(protocol, start, seed=seed, max_steps=150)
+            assert run_monitors(protocol, trace, (MONITOR_SINK1, MONITOR_RESERVOIR)) == [], (machine, seed)
+
+
+def test_two_r2_agents_of_one_colour_break_the_sink1_discipline_on_real_runs():
+    protocol = compile_machine(COUNT4)
+    start = Configuration({("R1@R1", 0): 3, ("R2@R2", 0): 2, ("R2@R2", 1): 1})
+    flagged = 0
+    for seed in range(200):
+        # every step is a real, enabled fire, or the monitors would say so
+        violations = run_monitors(protocol, random_fair_run(protocol, start, seed=seed, max_steps=60), (MONITOR_SINK1,))
+        assert all(v.endswith("agent removed from sink1 by a rule that may not do so") for v in violations)
+        flagged += bool(violations)
+    assert flagged == 101
+    trace = random_fair_run(protocol, start, seed=0, max_steps=60)
+    assert [instance.rule.label for instance, _ in trace.steps[:3]] == [
+        "Setup1:eq@R1R2", "Setup2:eq@R1R2", "InputViolation[xbar.=0,sink1]"
+    ]
+    assert run_monitors(protocol, trace, (MONITOR_SINK1,))[0] == (
+        "step 3: agent removed from sink1 by a rule that may not do so"
+    )
 
 
 def test_monitor_selection_is_respected():
