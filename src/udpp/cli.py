@@ -34,12 +34,11 @@ from .exploration import (
     check_well_specification,
     classify_graph,
     concretize_path,
-    cycle_through,
     explore,
     opinions,
     random_fair_run,
-    shortest_path,
 )
+from .graph import _path_into
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -147,20 +146,23 @@ _SWEEP_EXIT = {
 }
 
 
-def _no_output_evidence(protocol: Protocol, config, graph, target) -> str:
-    if len(opinions(protocol, target)) > 1:
+def _no_output_evidence(protocol: Protocol, config, graph, component: frozenset[int]) -> str:
+    """The evidence for a NoOutput verdict: a shortest stem from the root into
+    the deciding component (node ids of graph), then a shortest cycle back to
+    where it enters, or a note that the component is a deadlock. The searches
+    run on ids; only the printed nodes are decoded."""
+    if len(opinions(protocol, map(graph._node, component))) > 1:
         text = "# evidence: reachable bottom component with mixed opinions\n"
     else:
         text = "# evidence: conflicting stable consensuses are reachable;\n"
         text += "# the trace below leads into an output-0 component\n"
-    path = shortest_path(graph, graph.root, target)
-    assert path is not None
-    stem = concretize_path(protocol, config, path)
+    path = [0] if 0 in component else _path_into(graph, 0, component)
+    stem = concretize_path(protocol, config, list(map(graph._node, path)))
     text += "# stem\n" + formats.format_trace(protocol, stem).rstrip("\n") + "\n"
-    loop = cycle_through(graph, path[-1])
+    loop = _path_into(graph, path[-1], (path[-1],))
     if loop is None:
         return text + "# deadlock: the component is a single stuck configuration\n"
-    cycle = concretize_path(protocol, stem.final, loop)
+    cycle = concretize_path(protocol, stem.final, list(map(graph._node, loop)))
     return text + "# cycle\n" + formats.format_trace(protocol, cycle).rstrip("\n") + "\n"
 
 

@@ -184,10 +184,6 @@ class Protocol:
         return frozenset(self.states)
 
     @cached_property
-    def rule_set(self) -> frozenset[Rule]:
-        return frozenset(self.rules)
-
-    @cached_property
     def _rules_within(self) -> dict[frozenset[StateId], tuple[Rule, ...]]:
         return {}
 
@@ -346,7 +342,7 @@ def fire(protocol: Protocol, config: Configuration, instance: TransitionInstance
     protocol, its colors fail the guard, or the required agents are missing.
     """
     rule = instance.rule
-    if rule not in protocol.rule_set:
+    if protocol._position_of(rule) is None:
         raise NotEnabled(f"not a rule of this protocol: {rule}")
     after = _apply(config, instance)
     if after is None:

@@ -47,8 +47,6 @@ from .graph import (
     _successors,
     _Table,
     canonicalize,
-    cycle_through,
-    shortest_path,
 )
 
 
@@ -163,18 +161,16 @@ class Verdict(Enum):
     UNKNOWN = "Unknown"
 
 
-_BY_MASK = (None, Verdict.OUT0, Verdict.OUT1, Verdict.NO_OUTPUT)  # the opinions (see _mask) that settle a start
-
-
 @dataclass(frozen=True)
 class OutputClass:
     """A verdict, the reason for an Unknown one, and, for a NoOutput verdict
-    from :func:`classify_graph`, the bottom component that decides it: the
-    first one with mixed opinions, or else the first one unanimous for 0."""
+    from :func:`classify_graph`, the bottom component that decides it, as
+    node ids of the graph classified: the first one with mixed opinions, or
+    else the first one unanimous for 0."""
 
     verdict: Verdict
     reason: str | None = None
-    component: frozenset[CanonicalConfig] | None = field(default=None, compare=False)
+    component: frozenset[int] | None = field(default=None, compare=False)
 
     def describe(self) -> str:
         if self.verdict is Verdict.UNKNOWN:
@@ -182,7 +178,8 @@ class OutputClass:
         return self.verdict.value
 
 
-_SETTLED = tuple(map(OutputClass, _BY_MASK))  # one shared verdict per mask, for the sweep's starts
+# the shared verdict of each mask (see _mask): no agent, Out0, Out1, NoOutput
+_BY_MASK = (None, OutputClass(Verdict.OUT0), OutputClass(Verdict.OUT1), OutputClass(Verdict.NO_OUTPUT))
 
 
 def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
@@ -199,13 +196,12 @@ def classify_graph(protocol: Protocol, graph: ReachGraph) -> OutputClass:
         firsts.setdefault(mask, component)
         return mask
 
-    verdict = _BY_MASK[_components(graph._successors, len(graph), [0], weigh)[0] & 3]
-    if verdict is None:
+    oc = _BY_MASK[_components(graph._successors, len(graph), [0], weigh)[0] & 3]
+    if oc is None:
         raise EmptyConfiguration("cannot classify an empty population")
-    if verdict is not Verdict.NO_OUTPUT:
-        return OutputClass(verdict)
-    deciding = firsts.get(3) or firsts[1]  # see OutputClass
-    return OutputClass(verdict, component=frozenset(map(graph._node, deciding)))
+    if oc.verdict is not Verdict.NO_OUTPUT:
+        return oc
+    return OutputClass(oc.verdict, component=frozenset(firsts.get(3) or firsts[1]))  # see OutputClass
 
 
 def classify_output(
@@ -325,7 +321,7 @@ def _class_verdicts(protocol: Protocol, jobs: list[tuple[CanonicalConfig, Explor
         table.expanded, len(table), [root for root, reason in roots if reason is None],
         lambda component: _mask(protocol, table.packing.states(table.nodes, component)),
     )
-    return [OutputClass(Verdict.UNKNOWN, reason) if reason else _SETTLED[masks[root] & 3] for root, reason in roots]
+    return [OutputClass(Verdict.UNKNOWN, reason) if reason else _BY_MASK[masks[root] & 3] for root, reason in roots]
 
 
 def random_fair_run(

@@ -19,7 +19,7 @@ import weakref
 from array import array
 from bisect import bisect
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from itertools import chain
 
 from .core import _EQ, Configuration, Protocol, StateId
@@ -201,12 +201,12 @@ class ReachGraph:
     node went unexpanded and no closure property holds.
 
     Node v is ``keys[v]`` packed by ``packing``, decoded to a
-    :class:`CanonicalConfig` when ``edges``, ``nodes``, ``root`` or a
-    component first reads it; the analyses run on ids and decode nothing
-    else.
+    :class:`CanonicalConfig` when ``edges``, ``nodes`` or ``root`` first
+    reads it or :meth:`_node` is asked for it; the analyses and the path
+    search run on ids and decode nothing.
     """
 
-    __slots__ = ("truncation_reason", "_keys", "_offsets", "_targets", "_packing", "_decoded", "_ids", "_edges")
+    __slots__ = ("truncation_reason", "_keys", "_offsets", "_targets", "_packing", "_decoded", "_edges")
 
     def __init__(
         self, keys: list[Packed], offsets: array, targets: array, packing: _Packing, truncation_reason: str | None
@@ -214,7 +214,6 @@ class ReachGraph:
         self._keys, self._offsets, self._targets, self._packing = keys, offsets, targets, packing
         self.truncation_reason = truncation_reason
         self._decoded: dict[int, CanonicalConfig] = {}
-        self._ids: dict[Packed, int] | None = None
         self._edges: dict | None = None
 
     def _node(self, v: int) -> CanonicalConfig:
@@ -223,11 +222,6 @@ class ReachGraph:
         if node is None:
             node = self._decoded[v] = self._packing.decode(self._keys[v])
         return node
-
-    def _id(self, node: CanonicalConfig) -> int:
-        if self._ids is None:
-            self._ids = {key: i for i, key in enumerate(self._keys)}
-        return self._ids[self._packing.encode(node)]
 
     def _successors(self, v: int) -> array:
         return self._targets[self._offsets[v] : self._offsets[v + 1]]
@@ -487,36 +481,22 @@ def _components(
     return reach
 
 
-def _path_into(
-    graph: ReachGraph, source: CanonicalConfig, targets: frozenset[CanonicalConfig]
-) -> list[CanonicalConfig] | None:
-    """Breadth-first over node ids: a shortest node path of at least one
-    edge from source into targets, all nodes of graph, or None if there is
+def _path_into(graph: ReachGraph, start: int, ends: Collection[int]) -> list[int] | None:
+    """Breadth-first over node ids, parents in a flat array: a shortest id
+    path of at least one edge from start into ends, or None if there is
     none."""
-    start, ends = graph._id(source), {graph._id(node) for node in targets}
-    parent: dict[int, int] = {start: -1}
+    parent = array("q", [-1]) * len(graph)
+    parent[start] = start
     queue: deque[int] = deque([start])
     while queue:
         v = queue.popleft()
         for w in graph._successors(v):
             if w in ends:
                 path = [w, v]
-                while parent[path[-1]] >= 0:
+                while path[-1] != start:
                     path.append(parent[path[-1]])
-                return [graph._node(u) for u in reversed(path)]
-            if w not in parent:
+                return path[::-1]
+            if parent[w] < 0:
                 parent[w] = v
                 queue.append(w)
     return None
-
-
-def shortest_path(
-    graph: ReachGraph, source: CanonicalConfig, targets: frozenset[CanonicalConfig]
-) -> list[CanonicalConfig] | None:
-    """Shortest node path from source into targets, or None if unreachable."""
-    return [source] if source in targets else _path_into(graph, source, targets)
-
-
-def cycle_through(graph: ReachGraph, node: CanonicalConfig) -> list[CanonicalConfig] | None:
-    """A shortest nonempty cycle node -> ... -> node, or None when there is none."""
-    return _path_into(graph, node, frozenset([node]))

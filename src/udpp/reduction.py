@@ -494,7 +494,7 @@ def run_monitors(
             }
         rule = instance.rule
         where = f"step {number}"
-        if rule not in protocol.rule_set:
+        if protocol._position_of(rule) is None:
             violations.append(f"{where}: rule is not part of the protocol: {rule}")
         computed = _apply(current, instance)
         if computed is None:

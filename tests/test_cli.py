@@ -144,16 +144,71 @@ rule a a eq c c
 """
 
 
-def test_classify_conflicting_consensus_evidence(capsys, tmp_path):
-    pp = tmp_path / "split.pp"
-    cfg = tmp_path / "pair.cfg"
-    pp.write_text(SPLIT_PP, encoding="utf-8")
-    cfg.write_text("agent a 0 2\n", encoding="utf-8")
-    code, out, _ = run(capsys, "classify", pp, cfg)
-    assert code == 3
-    assert out.splitlines()[0] == "NoOutput"
-    assert "conflicting stable consensuses" in out
-    assert "# deadlock" in out
+# Recorded before the evidence searches ran on node ids. The first two starts
+# lie in their deciding component, so their stem takes no hop.
+MIXED_DEADLOCK_EVIDENCE = """\
+NoOutput
+# evidence: reachable bottom component with mixed opinions
+# stem
+agent a 0 1
+agent b 1 1
+# deadlock: the component is a single stuck configuration
+"""
+SEESAW_CYCLE_EVIDENCE = """\
+NoOutput
+# evidence: reachable bottom component with mixed opinions
+# stem
+agent p 0 1
+agent q 0 1
+agent q 1 1
+# cycle
+agent p 0 1
+agent q 0 1
+agent q 1 1
+
+fire r0 0 1
+
+agent q 0 2
+agent q 1 1
+
+fire r1 0 0
+
+agent p 0 1
+agent q 0 1
+agent q 1 1
+"""
+SPLIT_EVIDENCE = """\
+NoOutput
+# evidence: conflicting stable consensuses are reachable;
+# the trace below leads into an output-0 component
+# stem
+agent a 0 2
+
+fire r0 0 0
+
+agent b 0 2
+# deadlock: the component is a single stuck configuration
+"""
+
+
+@pytest.mark.parametrize(
+    "protocol, config, expected",
+    [
+        (
+            "state a\nstate b\ninit a\ninit b\nout a 0\nout b 1\n",
+            "agent a 0 1\nagent b 1 1\n",
+            MIXED_DEADLOCK_EVIDENCE,
+        ),
+        (SEESAW_PP, "agent p 0 1\nagent q 0 1\nagent q 1 1\n", SEESAW_CYCLE_EVIDENCE),
+        (SPLIT_PP, "agent a 0 2\n", SPLIT_EVIDENCE),
+    ],
+    ids=("mixed-deadlock-start", "start-on-the-seesaw-cycle", "conflicting-consensus"),
+)
+def test_classify_evidence_bytes_are_pinned(capsys, tmp_path, protocol, config, expected):
+    pp, cfg = tmp_path / "p.pp", tmp_path / "c.cfg"
+    pp.write_text(protocol, encoding="utf-8")
+    cfg.write_text(config, encoding="utf-8")
+    assert run(capsys, "classify", pp, cfg) == (3, expected, "")
 
 
 def test_classify_consensus_exit_zero(capsys, tmp_path):
@@ -399,6 +454,10 @@ def test_classify_by_certificate(capsys, tmp_path):
     assert "certified by a scripted run" in out
 
 
+# SHA-256 of the classify output below, recorded before the evidence searches ran on node ids
+HALT_K1_EVIDENCE_SHA256 = "72ff1b56613d1d0337187d6d3e885a730df3df1d7f5a3d7d0690cd44dd17c201"
+
+
 @pytest.mark.skipif(os.environ.get("UDPP_SLOW") != "1", reason="explores 832,461 nodes; set UDPP_SLOW=1")
 def test_exploration_alone_confirms_the_sigma_certificate_on_the_smallest_witness(capsys, tmp_path, monkeypatch):
     # the halting direction of the reduction, checked by exploration and by
@@ -418,12 +477,13 @@ def test_exploration_alone_confirms_the_sigma_certificate_on_the_smallest_witnes
     [graph] = graphs
     assert not graph.truncated and len(graph) == 832_461 and len(graph._targets) == 4_466_200
     assert code == 3 and out.startswith("NoOutput\n# evidence: ")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HALT_K1_EVIDENCE_SHA256
     code, sigma, _ = run(capsys, "classify", pp_file, cfg_file, "--certificate", "sigma", "--machine", SAMPLES / "halt.cm")
     assert code == 3 and sigma.splitlines()[0] == "NoOutput"
     assert time.perf_counter() - started <= 60
     import resource  # POSIX only
 
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss <= 600 * 1024  # KiB on Linux
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss <= 262 * 1024  # KiB on Linux
 
 
 # SHA-256 of the report below, recorded before the sweep shared one Tarjan pass per class

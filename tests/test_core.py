@@ -203,9 +203,21 @@ def test_fire_not_enabled_raises(seesaw, seesaw_runs):
 
 
 def test_fire_rejects_foreign_rule(seesaw, seesaw_runs):
-    foreign = Rule(("p", "q"), Guard.NEQ, ("p", "p"))
-    with pytest.raises(NotEnabled):
-        fire(seesaw, seesaw_runs[0], TransitionInstance(foreign, RED, BLUE))
+    c0 = seesaw_runs[0]
+    recruit, _ = seesaw.rules
+    # recruit's pre-states with other post-states or guard, then unnamed pre-states
+    for foreign in (
+        Rule(("p", "q"), Guard.NEQ, ("p", "p")),
+        Rule(("p", "q"), Guard.EQ, ("q", "q")),
+        Rule(("r", "q"), Guard.NEQ, ("q", "q")),
+    ):
+        with pytest.raises(NotEnabled, match=re.escape(f"not a rule of this protocol: {foreign}")):
+            fire(seesaw, c0, TransitionInstance(foreign, RED, BLUE))
+    # membership ignores the label, as rule equality does
+    relabelled = Rule(recruit.pre, recruit.guard, recruit.post, label="renamed")
+    assert fire(seesaw, c0, TransitionInstance(relabelled, RED, BLUE)) == fire(
+        seesaw, c0, TransitionInstance(recruit, RED, BLUE)
+    )
 
 
 def _random_fires(rng, total):

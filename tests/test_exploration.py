@@ -45,16 +45,14 @@ from udpp.exploration import (
     classify_graph,
     classify_output,
     concretize_path,
-    cycle_through,
     enumerate_initial_configs,
     explore,
     opinions,
     random_fair_run,
-    shortest_path,
 )
 from udpp.formats import format_trace, parse_configuration, parse_machine, parse_protocol
 from udpp.exploration import _class_verdicts
-from udpp.graph import _packing, _Rewrites, _Table
+from udpp.graph import _packing, _path_into, _Rewrites, _Table
 from udpp.reduction import RES1, RES2, certificate_verdict, compile_machine, tagged
 
 LIMITS = ExplorationLimits(max_nodes=10_000)
@@ -456,20 +454,27 @@ def test_bottom_sccs_order_is_pinned():
     assert _bottom_order_digest(graphs) == BOTTOM_ORDER_SHA256
 
 
+def _decoded(graph: ReachGraph, ids):
+    """The nodes of an id path or component, None staying None."""
+    return None if ids is None else type(ids)(map(graph._node, ids))
+
+
 def test_path_helpers_match_the_per_successor_oracles():
     rng = random.Random(101)
     graphs = [_synthetic_graph(_random_digraph(rng, 25)) for _ in range(1000)]
     graphs += _explored_graphs(random.Random(103), 60)
-    cycles = 0
+    cycles = zero_hops = 0
     for graph in graphs:
         nodes = graph.nodes
-        for node in nodes:
-            loop = cycle_through(graph, node)
+        for v, node in enumerate(nodes):
+            loop = _decoded(graph, _path_into(graph, v, (v,)))
             assert loop == per_successor_cycle(graph, node)
             cycles += loop is not None
-            targets = frozenset(rng.sample(nodes, rng.randint(1, min(3, len(nodes)))))
-            assert shortest_path(graph, node, targets) == bfs_shortest_path(graph, node, targets)
-    assert cycles >= 5000
+            ends = frozenset(rng.sample(range(len(nodes)), rng.randint(1, min(3, len(nodes)))))
+            path = [v] if v in ends else _path_into(graph, v, ends)  # the CLI's stem: no hop from inside
+            assert _decoded(graph, path) == bfs_shortest_path(graph, node, _decoded(graph, ends))
+            zero_hops += v in ends
+    assert cycles >= 5000 and zero_hops >= 2000
 
 
 def test_bottom_sccs_on_random_dags_are_sinks():
@@ -587,7 +592,7 @@ def test_the_opinion_pass_matches_the_rule_over_every_bottom_component():
         graph = explore(protocol, start, LIMITS)
         assert not graph.truncated
         oc = classify_graph(protocol, graph)
-        assert (oc.verdict, oc.component) == bottom_component_verdict(protocol, graph)
+        assert (oc.verdict, _decoded(graph, oc.component)) == bottom_component_verdict(protocol, graph)
         components = bottom_sccs(graph)  # the oracle reads them off the pass under test, so check them apart
         assert set(components) == brute_force_bottom_components(graph.nodes, graph.edges.__getitem__)
         seen[oc.verdict] += 1
@@ -600,7 +605,7 @@ def test_the_opinion_pass_matches_the_rule_over_every_bottom_component():
     start = Configuration({(r1, 0): 5, **{(r2, color): 1 for color in range(5)}})
     graph = explore(protocol, start, ExplorationLimits())
     oc = classify_graph(protocol, graph)
-    assert (oc.verdict, oc.component) == bottom_component_verdict(protocol, graph)
+    assert (oc.verdict, _decoded(graph, oc.component)) == bottom_component_verdict(protocol, graph)
     assert oc.verdict is Verdict.NO_OUTPUT and len(bottom_sccs(graph)) == 41
     assert min(seen.values()) >= 5, seen
 
@@ -1031,12 +1036,12 @@ def test_fair_runs_agree_with_bottom_components_small_scale():
 def test_path_helpers_realize_concrete_traces(seesaw, seesaw_runs):
     c0, c1, c2 = seesaw_runs
     graph = explore(seesaw, c0, LIMITS)
-    target = frozenset({canonicalize(c2)})
-    path = shortest_path(graph, graph.root, target)
+    end = graph.nodes.index(canonicalize(c2))
+    path = _decoded(graph, _path_into(graph, 0, {end}))
     assert path is not None and len(path) == 3
     stem = concretize_path(seesaw, c0, path)
     assert canonicalize(stem.final) == canonicalize(c2)
-    loop = cycle_through(graph, path[-1])
+    loop = _decoded(graph, _path_into(graph, end, (end,)))
     assert loop is not None and loop[0] == loop[-1] == canonicalize(c2)
     cycle = concretize_path(seesaw, stem.final, loop)
     assert canonicalize(cycle.final) == canonicalize(c2)
