@@ -207,7 +207,8 @@ class Protocol:
         memoised per active set."""
         rules = self._rules_within.get(active)
         if rules is None:
-            rules = self._rules_within[active] = tuple(self.rules[i] for i in self._positions_within(active))
+            positions = _positions_within(self._positions_by_pre, active)
+            rules = self._rules_within[active] = tuple(self.rules[i] for i in positions)
         return rules
 
     def _position_of(self, rule: Rule) -> int | None:
@@ -219,20 +220,21 @@ class Protocol:
                 return position
         return None
 
-    def _positions_within(self, active: Iterable[StateId]) -> list[int]:
-        """The positions of the rules whose two pre-states are in active,
-        ascending: the one active-set rule filter, unmemoised. It looks up
-        each ordered pair of active states in the pre-state index."""
-        active = tuple(active)
-        by_pre = self._positions_by_pre
-        positions: list[int] = []
-        for q in active:
-            seconds = by_pre.get(q)
-            if seconds:
-                for q2 in active:
-                    positions += seconds.get(q2, ())
-        positions.sort()
-        return positions
+
+def _positions_within(by_pre: dict[StateId, dict[StateId, list[int]]], active: Iterable[StateId]) -> list[int]:
+    """The positions of the rules whose two pre-states are in active,
+    ascending, read off a protocol's pre-state index by_pre
+    (``Protocol._positions_by_pre``): the one active-set rule filter,
+    unmemoised. It looks up each ordered pair of active states."""
+    active = tuple(active)
+    positions: list[int] = []
+    for q in active:
+        seconds = by_pre.get(q)
+        if seconds:
+            for q2 in active:
+                positions += seconds.get(q2, ())
+    positions.sort()
+    return positions
 
 
 def validate_protocol(protocol: Protocol) -> list[str]:

@@ -15,14 +15,12 @@ re-exports the public names.
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from bisect import bisect
 from collections import deque
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
-from itertools import chain
 
-from .core import _EQ, Configuration, Protocol, StateId
+from .core import _EQ, Configuration, Protocol, StateId, _positions_within
 
 Column = tuple[tuple[StateId, int], ...]
 # A packed column is the flat int tuple (rank, count, rank, count, ...) of a
@@ -92,12 +90,13 @@ class _Packing:
     :func:`_successors`). The scheduler's :func:`core._candidates` keeps
     every rule. Every memo here, the column rewrites and the column ->
     packed column memo that :meth:`encode` reads included, lives as long as
-    the protocol.
+    the protocol. The packing holds the protocol's rules and pre-state index,
+    not the protocol, which holds the packing.
     """
 
     def __init__(self, protocol: Protocol) -> None:
         named = {q for rule in protocol.rules for q in (*rule.pre, *rule.post)}
-        self._protocol = weakref.ref(protocol)  # the protocol caches its packing
+        self.rules, self._by_pre = protocol.rules, protocol._positions_by_pre
         self.names = sorted(named.union(protocol.states, protocol.initial))
         self.ranks = {q: r for r, q in enumerate(self.names)}
         self.moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -110,18 +109,14 @@ class _Packing:
         self._packed_columns = _Lazy(lambda column: tuple(x for q, n in column for x in (ranks[q], n)))
         self._rewrites = _Lazy(lambda column: _Rewrites(column, moves))
 
-    @property
-    def protocol(self) -> Protocol:
-        return self._protocol()
-
     def rules_within(self, active: frozenset[int]) -> tuple[tuple[bool, int, int, int, int], ...]:
         """The packed rules whose two pre-states are ranked in active, in
         position order and without a repeated effect, memoised per active
-        set; a miss asks :meth:`Protocol._positions_within` for the
+        set; a miss asks :func:`core._positions_within` for the
         positions."""
         rules = self._within.get(active)
         if rules is None:
-            positions = self.protocol._positions_within(self.names[r] for r in active)
+            positions = _positions_within(self._by_pre, (self.names[r] for r in active))
             rules = self._within[active] = tuple(filter(None, map(self._packed, positions)))
         return rules
 
@@ -131,7 +126,7 @@ class _Packing:
         set, so the earlier rule is always packed first."""
         packed = self._rules.get(position)
         if packed is None:
-            rule = self.protocol.rules[position]
+            rule = self.rules[position]
             (p, p2), (q, q2) = [self.ranks[s] for s in rule.pre], [self.ranks[s] for s in rule.post]
             eq = rule.guard is _EQ
             if eq:
@@ -253,14 +248,9 @@ class ReachGraph:
 class _Rewrites(dict):
     """move key -> one packed column after that move (see :class:`_Packing`),
     or False when the column lacks an agent to take; computed on first
-    lookup.
-
-    A fill reads the ranks off the column to decide False, and copies only
-    for a move that the column enables and that changes it. A one-agent move
-    edits a list copy of the packed column in place, inserting a new rank at
-    its sorted position; a two-agent move copies the counts, keeping the
-    column's rank order, and sorts again only when it gives a rank the
-    column lacks, as :func:`core._apply` does."""
+    lookup, in one pass over a list copy of the column. Every take comes
+    before any give, so a give never stands in for a missing agent; a rank
+    given anew goes in at its sorted position, as :func:`core._apply` sorts."""
 
     def __init__(self, column: tuple[int, ...], moves: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
         super().__init__()
@@ -268,49 +258,28 @@ class _Rewrites(dict):
 
     def __missing__(self, key: int) -> tuple[int, ...] | bool:
         take, give = self.moves[key]
-        column = self.column
-        ranks = column[::2]
-        low, high = take[0], take[-1]  # take is one rank or two sorted ones
-        if (
-            high not in ranks
-            or low not in ranks
-            or len(take) == 2 and low == high and column[2 * ranks.index(low) + 1] < 2
-        ):
-            self[key] = False
-            return False
-        if take == give:
-            after = column
-        elif len(take) == 1:
-            (b,) = give
-            out = list(column)
-            i = 2 * ranks.index(low)
-            if b in ranks:
-                out[2 * ranks.index(b) + 1] += 1
-            else:
-                j = 2 * bisect(ranks, b)
-                out[j:j] = (b, 1)
-                if j <= i:
-                    i += 2
+        out = list(self.column)
+        for r in take:
+            ranks = out[::2]
+            if r not in ranks:
+                self[key] = False
+                return False
+            i = 2 * ranks.index(r)
             if out[i + 1] == 1:
                 del out[i : i + 2]
             else:
                 out[i + 1] -= 1
-            after = tuple(out)
+        if take == give:
+            after = self.column
         else:
-            counts = dict(zip(ranks, column[1::2]))
-            for r in take:
-                counts[r] -= 1
-            grown = False
             for r in give:
-                if r in counts:
-                    counts[r] += 1
+                ranks = out[::2]
+                if r in ranks:
+                    out[2 * ranks.index(r) + 1] += 1
                 else:
-                    counts[r] = 1
-                    grown = True
-            for r in take:
-                if counts.get(r) == 0:
-                    del counts[r]
-            after = tuple(chain.from_iterable(sorted(counts.items()) if grown else counts.items()))
+                    i = 2 * bisect(ranks, r)
+                    out[i:i] = (r, 1)
+            after = tuple(out)
         self[key] = after
         return after
 

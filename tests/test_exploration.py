@@ -802,7 +802,11 @@ def test_a_column_rewrite_matches_the_copy_and_sort_fill():
                 cases["give back"] += 1
             if want and min(give) < column[0]:
                 cases["new lowest rank"] += 1
-    assert set(cases) == {("double take", 1), ("double take", 2), "give back", "new lowest rank"}
+            if not want and all(counts.get(r, 0) + give.count(r) >= take.count(r) for r in take):
+                cases["take only the give supplies"] += 1
+    assert set(cases) == {
+        ("double take", 1), ("double take", 2), "give back", "new lowest rank", "take only the give supplies"
+    }
 
 
 def test_explorations_sharing_one_table_match_table_free_ones(seesaw):

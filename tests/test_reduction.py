@@ -11,15 +11,19 @@ from udpp.core import (
     Trace,
     TransitionInstance,
     enabled_instances,
+    fire,
     is_initial,
     validate_protocol,
 )
 from support import random_machine
 from udpp.counter import CounterMachine, Dec, Goto, GotoCycle, Halt, Inc, cm_run, cm_trace
 from udpp.exploration import (
+    VERDICT_BOUNDED_OK,
+    VERDICT_WITNESS,
     ExplorationLimits,
     Verdict,
     canonicalize,
+    check_well_specification,
     classify_output,
     enumerate_initial_configs,
     random_fair_run,
@@ -456,6 +460,45 @@ def test_two_r2_agents_of_one_colour_break_the_sink1_discipline_on_real_runs():
     )
 
 
+def seeded_compiled_machines(rng: random.Random, count: int):
+    """The first count seeded random machines that compile (a pure goto
+    loop does not), each with its protocol."""
+    compiled = []
+    while len(compiled) < count:
+        machine = random_machine(rng)
+        try:
+            compiled.append((machine, compile_machine(machine)))
+        except GotoCycle:
+            continue
+    return compiled
+
+
+def test_sink_and_reservoir_monitors_are_decided_per_rule():
+    # both monitors judge a step by its rule alone, so firing each rule once
+    # from its minimal start finds every rule that can offend
+    offending = witnesses = 0
+    for machine, protocol in seeded_compiled_machines(random.Random(11), 30):
+        for rule in protocol.rules:
+            d, e = (0, 0) if rule.guard is Guard.EQ else (0, 1)
+            start = Configuration([((rule.pre[0], d), 1), ((rule.pre[1], e), 1)])
+            instance = TransitionInstance(rule, d, e)
+            trace = Trace(start, ((instance, fire(protocol, start, instance)),))
+            if run_monitors(protocol, trace, (MONITOR_SINK1, MONITOR_RESERVOIR)):
+                # an input-violation rule: two R2-tagged agents of one colour
+                assert rule.guard is Guard.EQ and all(q.endswith("@R2") for q in rule.pre), rule
+                offending += 1
+            assert [q.rsplit("@", 1)[1] for q in rule.pre] == [q.rsplit("@", 1)[1] for q in rule.post]
+        run = cm_run(machine, 30)
+        if run.halted:
+            # tags and colours never change, so a start with at most one
+            # R2-tagged agent per colour never enables an offending rule
+            witness = build_witness(machine, max(run.steps, 1))
+            r2_colours = [color for (q, color), n in witness.items() for _ in range(n) if q.endswith("@R2")]
+            assert len(r2_colours) == len(set(r2_colours))
+            witnesses += 1
+    assert (offending, witnesses) == (1210, 22)
+
+
 def test_monitor_selection_is_respected():
     protocol, trace = _replay(HALT, 1)
     assert run_monitors(protocol, trace, (MONITOR_SINK1,)) == []
@@ -484,6 +527,26 @@ def test_single_reservoir_agents_deadlock_with_output_one():
     for state in ("R1@R1", "R2@R2"):
         oc = classify_output(protocol, Configuration({(state, 0): 1}), limits)
         assert oc.verdict is Verdict.OUT1
+
+
+def test_small_sweeps_tell_halting_at_once_from_looping_machines():
+    limits = ExplorationLimits()
+    # setup alone uses one R1 and three R2 agents: four agents tell no machine apart
+    for _, protocol in seeded_compiled_machines(random.Random(3), 10):
+        assert check_well_specification(protocol, 4, 3, limits).verdict == VERDICT_BOUNDED_OK
+    halts, loops = [], []
+    for machine, protocol in seeded_compiled_machines(random.Random(4), 60):
+        if cm_run(machine, 0).halted:
+            halts.append(protocol)
+        elif not cm_run(machine, 300).halted:
+            loops.append(protocol)
+    assert (len(halts), len(loops)) == (21, 15)
+    for protocol in halts[:10]:
+        assert check_well_specification(protocol, 5, 3, limits).verdict == VERDICT_WITNESS
+        # the same machines at two colours: every start settles
+        assert check_well_specification(protocol, 5, 2, limits).verdict == VERDICT_BOUNDED_OK
+    for protocol in loops[:10]:
+        assert check_well_specification(protocol, 5, 3, limits).verdict == VERDICT_BOUNDED_OK
 
 
 def seeded_halting_replays(count: int = 40):
