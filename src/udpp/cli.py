@@ -16,6 +16,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -261,7 +262,11 @@ def _cmd_monitors(args) -> tuple[int, str]:
     return EXIT_OK if not violations else EXIT_WITNESS, text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command grammar, built once per process: parsing keeps no state
+    in the parser, and each command reads its collaborators at call time.
+    Every caller gets the same parser, main included."""
     parser = _Parser(prog="udpp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -326,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

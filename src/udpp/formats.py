@@ -88,8 +88,9 @@ def parse_protocol(text: str) -> Protocol:
             guards = _GUARDS.get(guard_token)
             if guards is None:
                 raise ParseError(number, f"unknown guard '{guard_token}'")
+            pre, post = (p, p2), (q, q2)
             for guard in guards:
-                rules.append(Rule((p, p2), guard, (q, q2)))
+                rules.append(Rule._trusted(pre, guard, post))
         else:
             raise ParseError(number, f"unknown directive '{keyword}'")
     return Protocol.make(states, rules, initial, output)
@@ -238,21 +239,21 @@ def format_machine(machine: CounterMachine) -> str:
 
 def rule_names(protocol: Protocol) -> list[str]:
     """One unique single-token display name per rule, aligned with protocol.rules."""
-    names = [f"r{position}" for position in range(len(protocol.rules))]
-    for label, position in _labels(protocol).items():
-        names[position] = label
-    return names
+    return [_name(protocol, position) for position in range(len(protocol.rules))]
 
 
-def _labels(protocol: Protocol) -> dict[str, int]:
-    """label -> position, for each rule named by its label (see above)."""
-    labels: dict[str, int] = {}
-    for position, rule in enumerate(protocol.rules):
-        label = rule.label
-        if label and label.split() == [label] and "#" not in label and label not in labels:
-            if _positional(label, len(protocol.rules)) is None:
-                labels[label] = position
-    return labels
+def _name(protocol: Protocol, position: int) -> str:
+    """The display name of the rule at position (see above)."""
+    label = protocol.rules[position].label
+    if label and protocol._first_label[label] == position and _readable(label, len(protocol.rules)):
+        return label
+    return f"r{position}"
+
+
+def _readable(label: str, count: int) -> bool:
+    """Whether label reads back as a rule name among count rules: one token,
+    no '#', and no rule's positional name."""
+    return label.split() == [label] and "#" not in label and _positional(label, count) is None
 
 
 def _positional(name: str, count: int) -> int | None:
@@ -269,7 +270,6 @@ def format_trace(protocol: Protocol, trace: Trace) -> str:
     """The trace as text. A fired rule is named as the protocol's first
     rule equal to it, or by its own label, or 'unknown'; only the rules the
     trace fires are looked up."""
-    names = rule_names(protocol)
     name_of: dict[Rule, str | None] = {}  # fired rule -> its name; None when the protocol lacks it
     block = _AgentLines().block
     chunks = [block(trace.initial)]
@@ -278,7 +278,7 @@ def format_trace(protocol: Protocol, trace: Trace) -> str:
         name = name_of.get(rule, False)
         if name is False:
             position = protocol._position_of(rule)
-            name = name_of[rule] = None if position is None else names[position]
+            name = name_of[rule] = None if position is None else _name(protocol, position)
         chunks.append(f"fire {name or rule.label or 'unknown'} {instance.d} {instance.e}")
         chunks.append(block(config))
     return "\n\n".join(chunks) + "\n"
@@ -286,7 +286,7 @@ def format_trace(protocol: Protocol, trace: Trace) -> str:
 
 def parse_trace(protocol: Protocol, text: str) -> Trace:
     rules = protocol.rules
-    labels = _labels(protocol)
+    first_label = protocol._first_label
     # Counts are positive, so a block is empty exactly when no agent line
     # has been read into it.
     seen: dict[str, _AgentItem] = {}
@@ -303,11 +303,12 @@ def parse_trace(protocol: Protocol, text: str) -> Trace:
                     raise ParseError(number, "expected: fire <rule-name> <d> <e>")
                 if not block:
                     raise ParseError(number, "expected a configuration block before this line")
-                position = labels.get(tokens[1])
-                if position is None:
-                    position = _positional(tokens[1], len(rules))
+                name = tokens[1]
+                position = first_label.get(name)
+                if position is None or not _readable(name, len(rules)):
+                    position = _positional(name, len(rules))
                     if position is None:
-                        raise ParseError(number, f"unknown rule name '{tokens[1]}'")
+                        raise ParseError(number, f"unknown rule name '{name}'")
                 rule = rules[position]
                 try:
                     d, e = int(tokens[2]), int(tokens[3])

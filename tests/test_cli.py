@@ -1,5 +1,7 @@
 import hashlib
 import os
+import random
+import sys
 import time
 from pathlib import Path
 
@@ -780,3 +782,253 @@ def test_sweep_compiled_pump_settles(capsys, tmp_path):
     assert code == 0
     assert out.rstrip().splitlines()[-1] == "verdict: well-specified-up-to-bounds"
     assert "NoOutput" not in out and "Unknown" not in out
+
+
+HALT_CM = str(SAMPLES / "halt.cm")
+
+# What `udpp --help`, each command's --help and three argument errors give:
+# (argv, exit code, stdout, stderr), recorded under CPython 3.11 at 80
+# columns from a main that built its parser afresh on every call. CPython
+# 3.10.13 and 3.12.1 print the same bytes; 3.13 wraps usage lines otherwise.
+GRAMMAR = (
+    (
+        ("--help",),
+        0,
+        """\
+usage: udpp [-h]
+            {cm-run,compile,simulate,classify,sweep,witness,replay-sigma,monitors}
+            ...
+
+Command line front end.
+
+positional arguments:
+  {cm-run,compile,simulate,classify,sweep,witness,replay-sigma,monitors}
+    cm-run              run a counter machine from (1, 0, 0)
+    compile             compile a counter machine into a protocol
+    simulate            seeded random fair run
+    classify            stable-consensus verdict for one configuration
+    sweep               classify all small initial configurations
+    witness             build the halting witness configuration
+    replay-sigma        scripted witness run down to a deadlock
+    monitors            run trace discipline monitors
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+    ),
+    (
+        ("cm-run", "--help"),
+        0,
+        """\
+usage: udpp cm-run [-h] [--max-steps MAX_STEPS] machine
+
+positional arguments:
+  machine
+
+options:
+  -h, --help            show this help message and exit
+  --max-steps MAX_STEPS
+""",
+        "",
+    ),
+    (
+        ("compile", "--help"),
+        0,
+        """\
+usage: udpp compile [-h] [--out OUT] machine
+
+positional arguments:
+  machine
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT
+""",
+        "",
+    ),
+    (
+        ("simulate", "--help"),
+        0,
+        """\
+usage: udpp simulate [-h] [--seed SEED] [--steps STEPS] [--out OUT]
+                     protocol config
+
+positional arguments:
+  protocol
+  config
+
+options:
+  -h, --help     show this help message and exit
+  --seed SEED
+  --steps STEPS
+  --out OUT
+""",
+        "",
+    ),
+    (
+        ("classify", "--help"),
+        0,
+        """\
+usage: udpp classify [-h] [--max-nodes MAX_NODES] [--max-depth MAX_DEPTH]
+                     [--certificate {explore,sigma}] [--machine MACHINE]
+                     protocol config
+
+positional arguments:
+  protocol
+  config
+
+options:
+  -h, --help            show this help message and exit
+  --max-nodes MAX_NODES
+                        default: 100000
+  --max-depth MAX_DEPTH
+  --certificate {explore,sigma}
+  --machine MACHINE     machine file for --certificate sigma
+""",
+        "",
+    ),
+    (
+        ("sweep", "--help"),
+        0,
+        """\
+usage: udpp sweep [-h] --max-agents MAX_AGENTS --max-colors MAX_COLORS
+                  [--max-nodes MAX_NODES]
+                  protocol
+
+positional arguments:
+  protocol
+
+options:
+  -h, --help            show this help message and exit
+  --max-agents MAX_AGENTS
+  --max-colors MAX_COLORS
+  --max-nodes MAX_NODES
+""",
+        "",
+    ),
+    (
+        ("witness", "--help"),
+        0,
+        """\
+usage: udpp witness [-h] [--k K | --max-steps MAX_STEPS] [--out OUT] machine
+
+positional arguments:
+  machine
+
+options:
+  -h, --help            show this help message and exit
+  --k K                 step bound; default: steps to halt
+  --max-steps MAX_STEPS
+                        halting probe budget
+  --out OUT
+""",
+        "",
+    ),
+    (
+        ("replay-sigma", "--help"),
+        0,
+        """\
+usage: udpp replay-sigma [-h]
+                         [--k K | --max-steps MAX_STEPS | --witness WITNESS]
+                         [--out OUT]
+                         machine
+
+positional arguments:
+  machine
+
+options:
+  -h, --help            show this help message and exit
+  --k K
+  --max-steps MAX_STEPS
+  --witness WITNESS     start from this configuration file instead of building
+                        one
+  --out OUT
+""",
+        "",
+    ),
+    (
+        ("monitors", "--help"),
+        0,
+        """\
+usage: udpp monitors [-h] [--only ONLY] machine trace
+
+positional arguments:
+  machine
+  trace
+
+options:
+  -h, --help   show this help message and exit
+  --only ONLY  comma-separated monitor names
+""",
+        "",
+    ),
+    (
+        ("wobble",),
+        1,
+        "",
+        """\
+usage: udpp [-h]
+            {cm-run,compile,simulate,classify,sweep,witness,replay-sigma,monitors}
+            ...
+error: argument command: invalid choice: 'wobble' (choose from 'cm-run', 'compile', 'simulate', 'classify', 'sweep', 'witness', 'replay-sigma', 'monitors')
+""",
+    ),
+    (
+        ("witness", HALT_CM, "--k", "0"),
+        1,
+        "",
+        """\
+usage: udpp witness [-h] [--k K | --max-steps MAX_STEPS] [--out OUT] machine
+error: argument --k: must be at least 1, got 0
+""",
+    ),
+    (
+        ("witness", HALT_CM, "--k", "1", "--max-steps", "3"),
+        1,
+        "",
+        """\
+usage: udpp witness [-h] [--k K | --max-steps MAX_STEPS] [--out OUT] machine
+error: argument --max-steps: not allowed with argument --k
+""",
+    ),
+)
+
+
+def _afresh(argv) -> int:
+    """The exit code of parsing argv with a parser built for this call alone;
+    every argv of GRAMMAR exits while it is parsed."""
+    try:
+        cli.build_parser.__wrapped__().parse_args(list(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    raise AssertionError(f"{argv} parsed without exiting")
+
+
+def test_the_grammar_is_pinned_and_main_is_reentrant(capsys, monkeypatch, seesaw_files, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse reads the width on every call
+    expected = {argv: (code, out, err) for argv, code, out, err in GRAMMAR}
+    if sys.version_info >= (3, 12):
+        # argparse's wrapping and wording move in later releases; there the
+        # pin is what a parser built for the one call prints
+        expected = {argv: (_afresh(argv), *capsys.readouterr()) for argv in expected}
+    pp, cfg = (str(path) for path in seesaw_files)
+    written = tmp_path / "witness.cfg"
+    commands = (
+        ("classify", pp, cfg),
+        ("sweep", pp, "--max-agents", "2", "--max-colors", "2"),
+        ("witness", HALT_CM, "--k", "1", "--out", str(written)),
+        ("witness", HALT_CM, "--k", "1"),
+        ("witness", HALT_CM),
+        ("cm-run", str(SAMPLES / "count4.cm")),
+    )
+    for argv in commands:
+        args = cli.build_parser.__wrapped__().parse_args(list(argv))
+        code, text = args.func(args)
+        expected[argv] = (code, "" if getattr(args, "out", None) else text, "")
+    # every call twice, in a seeded interleaving of grammar and real commands
+    calls = [*expected, *expected]
+    random.Random(3).shuffle(calls)
+    for argv in calls:
+        assert run(capsys, *argv) == expected[argv], argv
+    assert written.read_text(encoding="utf-8") == expected[("witness", HALT_CM, "--k", "1")][1]

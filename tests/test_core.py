@@ -340,6 +340,33 @@ def test_validate_reports_undeclared_rule_state():
     assert len(problems) == 1 and "'z'" in problems[0]
 
 
+def test_validate_messages_and_their_order_are_pinned():
+    # recorded from a validate_protocol that scanned every rule state
+    bad = Protocol.make(
+        ("p", "q", "p", "r"),
+        (
+            Rule(("p", "q"), Guard.NEQ, ("q", "q")),
+            Rule(("z", "p"), Guard.EQ, ("p", "y")),
+            Rule(("q", "q"), Guard.EQ, ("p", "q")),
+            Rule(("y", "y"), Guard.NEQ, ("x", "p")),
+        ),
+        ("p", "w"),
+        {"p": 0, "q": 2, "v": 1},
+    )
+    assert validate_protocol(bad) == [
+        "duplicate state 'p'",
+        "initial state 'w' is not declared",
+        "state 'r' has no output value",
+        "output assigned to undeclared state 'v'",
+        "output of 'q' is 2, expected 0 or 1",
+        "rule 1 references undeclared state 'z'",
+        "rule 1 references undeclared state 'y'",
+        "rule 3 references undeclared state 'y'",
+        "rule 3 references undeclared state 'y'",
+        "rule 3 references undeclared state 'x'",
+    ]
+
+
 def test_validate_reports_duplicates_and_partial_output():
     bad = Protocol.make(("p", "p"), (), ("p",), {})
     problems = validate_protocol(bad)

@@ -1,9 +1,11 @@
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
 
 from support import (
+    SAMPLES,
     compiled_witness,
     random_protocol,
     reference_format_configuration,
@@ -231,20 +233,79 @@ def test_fire_names_resolve_as_in_the_full_name_table():
     rng = random.Random(59)
     # positional look-alikes: a leading zero, a non-ASCII digit, a sign, an
     # index past the last rule, more digits than int() reads, a bare 'r';
-    # and labels that cannot be names
+    # and labels that cannot be names: whitespace, '#', the empty label
     names = (
         "r0", "r1", "r2", "r3", "r10", "r00", "r01", "r٣", "r²", "r+1", "r-0", "r" + "1" * 5000, "r", "R1", "rx",
-        "a", "b", "two words", "x#y",
+        "a", "b", "two words", " a", "a\tb", "x#y", "#", "",
     )
     for _ in range(400):
         protocol = random_protocol(rng, max_states=2, max_rules=rng.randint(1, 12))
-        rules = [replace(rule, label=rng.choice((None, *names))) for rule in protocol.rules]
+        # few labels, so that they repeat
+        pool = rng.sample((None, *names), rng.randint(1, 5))
+        rules = [replace(rule, label=rng.choice(pool)) for rule in protocol.rules]
         protocol = Protocol.make(protocol.states, rules, protocol.initial, protocol.output)
         assert rule_names(protocol) == reference_rule_names(protocol)
         q = protocol.states[0]
         for name in rng.sample(names, 6):
             text = f"agent {q} 0 1\nagent {q} 1 1\n\nfire {name} {rng.randint(0, 1)} 1\n\nagent {q} 0 2\n"
             assert _parsed_or_error(parse_trace, protocol, text) == _parsed_or_error(reference_parse_trace, protocol, text)
+        start = Configuration({(state, color): 2 for state in protocol.states for color in (0, 1)})
+        trace = random_fair_run(protocol, start, rng.randrange(1 << 20), 12)
+        text = format_trace(protocol, trace)
+        assert text == reference_format_trace(protocol, trace)
+        assert parse_trace(protocol, text) == reference_parse_trace(protocol, text) == trace
+
+
+def test_each_protocol_names_its_rules_by_its_own_labels():
+    seesaw = relabelled_seesaw(("recruit", "bounce"))
+    c0, _, _ = seesaw_configs()
+    trace = random_fair_run(seesaw, c0, seed=7, max_steps=5)
+    text = format_trace(seesaw, trace)
+    assert parse_trace(seesaw, text) == trace and rule_names(seesaw) == ["recruit", "bounce"]
+    # equal rules, other labels: one protocol through dataclasses.replace,
+    # one made afresh; both equal the first, which has built its table
+    swapped = replace(seesaw, rules=tuple(replace(rule, label=label) for rule, label in zip(seesaw.rules, ("bounce", "recruit"))))
+    positional = relabelled_seesaw((None, "r0"))
+    assert swapped == seesaw == positional
+    for protocol, names in ((swapped, ["bounce", "recruit"]), (positional, ["r0", "r1"]), (seesaw, ["recruit", "bounce"])):
+        assert rule_names(protocol) == names
+        again = format_trace(protocol, trace)
+        assert again == reference_format_trace(protocol, trace)
+        assert [line.split()[1] for line in again.splitlines() if line.startswith("fire")] == [
+            names[seesaw.rules.index(instance.rule)] for instance, _ in trace.steps
+        ]
+        for name, rule in zip(names, protocol.rules):
+            e = 0 if rule.guard is Guard.EQ else 1
+            fired = parse_trace(protocol, f"agent p 0 2\n\nfire {name} 0 {e}\n\nagent p 0 2\n")
+            assert fired.steps[0][0].rule is rule
+    # a name only the other protocols give is unknown here
+    with pytest.raises(ParseError) as err:
+        parse_trace(positional, "agent p 0 2\n\nfire recruit 0 1\n\nagent p 0 2\n")
+    assert str(err.value) == "line 3: unknown rule name 'recruit'"
+
+
+@pytest.mark.parametrize("sample", ["count4.cm", "halt.cm", "pump.cm", "seesaw.pp"])
+def test_parsed_rules_are_ordinary_rules(sample):
+    source = (SAMPLES / sample).read_text(encoding="utf-8")
+    if sample.endswith(".cm"):
+        text = format_protocol(compile_machine(parse_machine(source)))
+    else:
+        text = "".join(line for line in source.splitlines(keepends=True) if not line.startswith("#"))
+    protocol = parse_protocol(text)
+    assert format_protocol(protocol) == text
+    for rule in protocol.rules:
+        plain = Rule(rule.pre, rule.guard, rule.post)
+        assert type(rule) is Rule and rule.label is None
+        assert rule == plain and hash(rule) == hash(plain)
+        assert (repr(rule), str(rule), asdict(rule)) == (repr(plain), str(plain), asdict(plain))
+        assert vars(rule) == vars(plain)
+        assert vars(pickle.loads(pickle.dumps(rule))) == vars(plain)
+        relabelled = replace(rule, label="x")
+        assert relabelled == rule and relabelled.label == "x" and str(relabelled) == f"x: {plain}"
+        with pytest.raises(FrozenInstanceError):
+            rule.label = "x"
+        with pytest.raises(FrozenInstanceError):
+            rule.pre = plain.post
 
 
 def _parsed_or_error(parse, *args):

@@ -499,6 +499,78 @@ def test_sink_and_reservoir_monitors_are_decided_per_rule():
     assert (offending, witnesses) == (1210, 22)
 
 
+def _rebuilt(trace: Trace, make) -> Trace:
+    """trace with each step's rule replaced by make(rule)."""
+    return Trace(trace.initial, tuple((TransitionInstance(make(i.rule), i.d, i.e), c) for i, c in trace.steps))
+
+
+def test_monitors_judge_copied_rules_as_the_protocols_own_and_foreign_rules_alone():
+    # recorded from a run_monitors that worked out each step's main states
+    # and family afresh
+    protocol = compile_machine(COUNT4)
+    start = Configuration({("R1@R1", 0): 3, ("R2@R2", 0): 2, ("R2@R2", 1): 1})
+    trace = random_fair_run(protocol, start, seed=0, max_steps=12)
+    # equal to a protocol rule, not the same object
+    copies = _rebuilt(trace, lambda rule: Rule(rule.pre, rule.guard, rule.post))
+    assert all(copy.rule is not step.rule for (copy, _), (step, _) in zip(copies.steps, trace.steps))
+    expected = [
+        "step 2: shadow state entered with color 0, already in play",
+        "step 3: agent removed from sink1 by a rule that may not do so",
+    ]
+    assert run_monitors(protocol, copies) == run_monitors(protocol, trace) == expected
+    # run backwards: foreign rules, except the symmetric broadcasts, which
+    # come back as copies of protocol rules
+    assert run_monitors(protocol, _rebuilt(trace, lambda rule: Rule(rule.post, rule.guard, rule.pre))) == [
+        "step 1: rule is not part of the protocol: (setup.x@R1, sink1@R2) eq (R1@R1, R2@R2)",
+        "step 1: instance was not enabled: (setup.x@R1, sink1@R2) eq (R1@R1, R2@R2) @ (0, 0)",
+        "step 1: reservoir 'R1' gained an agent",
+        "step 1: agent removed from sink1 by a rule that may not do so",
+        "step 1: reservoir 'R2' gained an agent",
+        "step 2: rule is not part of the protocol: (setup.y@R1, xbar.=0@R2) eq (setup.x@R1, R2@R2)",
+        "step 2: instance was not enabled: (setup.y@R1, xbar.=0@R2) eq (setup.x@R1, R2@R2) @ (0, 0)",
+        "step 2: reservoir 'R2' gained an agent",
+        "step 3: rule is not part of the protocol: (sink2@R2, sink2@R2) eq (xbar.=0@R2, sink1@R2)",
+        "step 3: instance was not enabled: (sink2@R2, sink2@R2) eq (xbar.=0@R2, sink1@R2) @ (0, 0)",
+        "step 3: shadow state entered from 'sink2' instead of R2",
+        "step 4: rule is not part of the protocol: (sink2@R2, sink2@R1) eq (sink2@R2, R1@R1)",
+        "step 4: instance was not enabled: (sink2@R2, sink2@R1) eq (sink2@R2, R1@R1) @ (0, 0)",
+        "step 4: reservoir 'R1' gained an agent",
+        "step 7: rule is not part of the protocol: (sink2@R2, sink2@R2) neq (sink2@R2, R2@R2)",
+        "step 7: instance was not enabled: (sink2@R2, sink2@R2) neq (sink2@R2, R2@R2) @ (0, 1)",
+        "step 7: reservoir 'R2' gained an agent",
+        "step 9: rule is not part of the protocol: (sink2@R1, sink2@R1) eq (sink2@R1, R1@R1)",
+        "step 9: instance was not enabled: (sink2@R1, sink2@R1) eq (sink2@R1, R1@R1) @ (0, 0)",
+        "step 9: reservoir 'R1' gained an agent",
+    ]
+    # the counter micro-steps of the count4 replay, run backwards
+    replay = replay_halting_run(COUNT4, build_witness(COUNT4, 4))
+    counted = Trace(replay.steps[2][1], replay.steps[3:9])
+    assert [instance.rule.label for instance, _ in counted.steps] == [
+        "Inc[1,=0]:neq@R1R2", "Increment[x]:eq@R2R1", "Dec[2]:neq@R1R2",
+        "Decrement[x]:eq@R2R1", "ZeroTest1[2]:neq@R1R2", "ZeroTest2[2]:neq@R1R2",
+    ]
+    assert run_monitors(protocol, _rebuilt(counted, lambda rule: Rule(rule.pre, rule.guard, rule.post))) == []
+    assert run_monitors(protocol, _rebuilt(counted, lambda rule: Rule(rule.post, rule.guard, rule.pre))) == [
+        "step 1: rule is not part of the protocol: (i.2@R1, xbar.+@R2) neq (i.1@R1, xbar.=0@R2)",
+        "step 1: instance was not enabled: (i.2@R1, xbar.+@R2) neq (i.1@R1, xbar.=0@R2) @ (0, 1)",
+        "step 2: rule is not part of the protocol: (xbar.>0@R2, x@R1) eq (xbar.+@R2, R1@R1)",
+        "step 2: instance was not enabled: (xbar.>0@R2, x@R1) eq (xbar.+@R2, R1@R1) @ (1, 1)",
+        "step 2: counter 'x' agents moved outside the increment/decrement micro-steps",
+        "step 2: reservoir 'R1' gained an agent",
+        "step 3: rule is not part of the protocol: (i.2@R1, xbar.-@R2) neq (i.2@R1, xbar.>0@R2)",
+        "step 3: instance was not enabled: (i.2@R1, xbar.-@R2) neq (i.2@R1, xbar.>0@R2) @ (0, 1)",
+        "step 4: rule is not part of the protocol: (xbar.=0@R2, garbage@R1) eq (xbar.-@R2, x@R1)",
+        "step 4: instance was not enabled: (xbar.=0@R2, garbage@R1) eq (xbar.-@R2, x@R1) @ (1, 1)",
+        "step 4: counter 'x' agents moved outside the increment/decrement micro-steps",
+        "step 5: rule is not part of the protocol: (i'.2@R1, garbage@R2) neq (i.2@R1, xbar.=0@R2)",
+        "step 5: instance was not enabled: (i'.2@R1, garbage@R2) neq (i.2@R1, xbar.=0@R2) @ (0, 1)",
+        "step 5: shadow state entered from 'garbage' instead of R2",
+        "step 6: rule is not part of the protocol: (i.4@R1, xbar.=0@R2) neq (i'.2@R1, R2@R2)",
+        "step 6: instance was not enabled: (i.4@R1, xbar.=0@R2) neq (i'.2@R1, R2@R2) @ (0, 3)",
+        "step 6: reservoir 'R2' gained an agent",
+    ]
+
+
 def test_monitor_selection_is_respected():
     protocol, trace = _replay(HALT, 1)
     assert run_monitors(protocol, trace, (MONITOR_SINK1,)) == []
