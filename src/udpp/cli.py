@@ -262,11 +262,7 @@ def _cmd_monitors(args) -> tuple[int, str]:
     return EXIT_OK if not violations else EXIT_WITNESS, text
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command grammar, built once per process: parsing keeps no state
-    in the parser, and each command reads its collaborators at call time.
-    Every caller gets the same parser, main included."""
     parser = _Parser(prog="udpp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -330,9 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process for main: parsing keeps no
+    state in the parser. The command functions and defaults it names are
+    fixed at this first build; nothing may change the parser it returns."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,7 +13,6 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 StateId = str
@@ -50,7 +49,6 @@ class Guard(Enum):
 # Guard.EQ bound once: reading a member off the Enum class costs several
 # times what reading a module global does, and the hot loops test it per rule.
 _EQ = Guard.EQ
-_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
 
 
 @dataclass(frozen=True)
@@ -74,19 +72,6 @@ class Rule:
             f"{head}({self.pre[0]}, {self.pre[1]}) {self.guard.value} "
             f"({self.post[0]}, {self.post[1]})"
         )
-
-    @classmethod
-    def _trusted(cls, pre: tuple[StateId, StateId], guard: Guard, post: tuple[StateId, StateId]) -> "Rule":
-        """An unlabelled rule from parts already checked, built without the
-        frozen-dataclass initializer. The fields are set one by one, as the
-        initializer sets them: writing the instance __dict__ instead would
-        give every rule a dict object of its own, 64 bytes more per rule."""
-        rule = object.__new__(cls)
-        _setattr(rule, "pre", pre)
-        _setattr(rule, "guard", guard)
-        _setattr(rule, "post", post)
-        _setattr(rule, "label", None)
-        return rule
 
 
 class TransitionInstance(NamedTuple):
@@ -279,12 +264,10 @@ def validate_protocol(protocol: Protocol) -> list[str]:
         value = protocol.output.get(state)
         if value is not None and value not in (0, 1):
             problems.append(f"output of '{state}' is {value!r}, expected 0 or 1")
-    # one set test; the rule-by-rule scan only names what is missing
-    if not protocol.state_set.issuperset(chain.from_iterable(rule.pre + rule.post for rule in protocol.rules)):
-        for index, rule in enumerate(protocol.rules):
-            for state in (*rule.pre, *rule.post):
-                if state not in protocol.state_set:
-                    problems.append(f"rule {index} references undeclared state '{state}'")
+    for index, rule in enumerate(protocol.rules):
+        for state in (*rule.pre, *rule.post):
+            if state not in protocol.state_set:
+                problems.append(f"rule {index} references undeclared state '{state}'")
     return problems
 
 

@@ -88,9 +88,8 @@ def parse_protocol(text: str) -> Protocol:
             guards = _GUARDS.get(guard_token)
             if guards is None:
                 raise ParseError(number, f"unknown guard '{guard_token}'")
-            pre, post = (p, p2), (q, q2)
             for guard in guards:
-                rules.append(Rule._trusted(pre, guard, post))
+                rules.append(Rule((p, p2), guard, (q, q2)))
         else:
             raise ParseError(number, f"unknown directive '{keyword}'")
     return Protocol.make(states, rules, initial, output)

@@ -452,12 +452,6 @@ def _family(guard: Guard, pm: str, pm2: str, qm: str, qm2: str) -> str | None:
     return None
 
 
-def _facts(rule: Rule) -> tuple[str, str, str, str, str | None]:
-    """A rule's main states, pre then post, and its _family."""
-    pm, pm2, qm, qm2 = (main_of(q) for q in rule.pre + rule.post)
-    return pm, pm2, qm, qm2, _family(rule.guard, pm, pm2, qm, qm2)
-
-
 def run_monitors(
     protocol: Protocol, trace: Trace, monitors: tuple[str, ...] = ALL_MONITORS
 ) -> list[str]:
@@ -493,7 +487,6 @@ def run_monitors(
     violations: list[str] = []
     current = trace.initial
     used_outside: set[int] = set()
-    facts_at: dict[int, tuple[str, str, str, str, str | None]] = {}  # rule position -> _facts
     for number, (instance, recorded) in enumerate(trace.steps, 1):
         if MONITOR_FRESH in monitors:
             used_outside |= {
@@ -501,21 +494,16 @@ def run_monitors(
             }
         rule = instance.rule
         where = f"step {number}"
-        position = protocol._position_of(rule)
-        if position is None:
+        if protocol._position_of(rule) is None:
             violations.append(f"{where}: rule is not part of the protocol: {rule}")
-            facts = _facts(rule)
-        else:
-            facts = facts_at.get(position)
-            if facts is None:
-                facts = facts_at[position] = _facts(rule)
-        pm, pm2, qm, qm2, family = facts
         computed = _apply(current, instance)
         if computed is None:
             violations.append(f"{where}: instance was not enabled: {instance}")
         elif computed != recorded:
             violations.append(f"{where}: recorded configuration does not match the fired result")
 
+        pm, pm2, qm, qm2 = (main_of(q) for q in rule.pre + rule.post)
+        family = _family(rule.guard, pm, pm2, qm, qm2)
         for pre_main, post_main, color in ((pm, qm, instance.d), (pm2, qm2, instance.e)):
             if MONITOR_FRESH in monitors and is_shadow(post_main) and not is_shadow(pre_main):
                 if pre_main != RES2:

@@ -999,7 +999,7 @@ def _afresh(argv) -> int:
     """The exit code of parsing argv with a parser built for this call alone;
     every argv of GRAMMAR exits while it is parsed."""
     try:
-        cli.build_parser.__wrapped__().parse_args(list(argv))
+        cli.build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     raise AssertionError(f"{argv} parsed without exiting")
@@ -1023,7 +1023,7 @@ def test_the_grammar_is_pinned_and_main_is_reentrant(capsys, monkeypatch, seesaw
         ("cm-run", str(SAMPLES / "count4.cm")),
     )
     for argv in commands:
-        args = cli.build_parser.__wrapped__().parse_args(list(argv))
+        args = cli.build_parser().parse_args(list(argv))
         code, text = args.func(args)
         expected[argv] = (code, "" if getattr(args, "out", None) else text, "")
     # every call twice, in a seeded interleaving of grammar and real commands

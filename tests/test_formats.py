@@ -1,11 +1,9 @@
-import pickle
 import random
-from dataclasses import FrozenInstanceError, asdict, replace
+from dataclasses import replace
 
 import pytest
 
 from support import (
-    SAMPLES,
     compiled_witness,
     random_protocol,
     reference_format_configuration,
@@ -282,30 +280,6 @@ def test_each_protocol_names_its_rules_by_its_own_labels():
     with pytest.raises(ParseError) as err:
         parse_trace(positional, "agent p 0 2\n\nfire recruit 0 1\n\nagent p 0 2\n")
     assert str(err.value) == "line 3: unknown rule name 'recruit'"
-
-
-@pytest.mark.parametrize("sample", ["count4.cm", "halt.cm", "pump.cm", "seesaw.pp"])
-def test_parsed_rules_are_ordinary_rules(sample):
-    source = (SAMPLES / sample).read_text(encoding="utf-8")
-    if sample.endswith(".cm"):
-        text = format_protocol(compile_machine(parse_machine(source)))
-    else:
-        text = "".join(line for line in source.splitlines(keepends=True) if not line.startswith("#"))
-    protocol = parse_protocol(text)
-    assert format_protocol(protocol) == text
-    for rule in protocol.rules:
-        plain = Rule(rule.pre, rule.guard, rule.post)
-        assert type(rule) is Rule and rule.label is None
-        assert rule == plain and hash(rule) == hash(plain)
-        assert (repr(rule), str(rule), asdict(rule)) == (repr(plain), str(plain), asdict(plain))
-        assert vars(rule) == vars(plain)
-        assert vars(pickle.loads(pickle.dumps(rule))) == vars(plain)
-        relabelled = replace(rule, label="x")
-        assert relabelled == rule and relabelled.label == "x" and str(relabelled) == f"x: {plain}"
-        with pytest.raises(FrozenInstanceError):
-            rule.label = "x"
-        with pytest.raises(FrozenInstanceError):
-            rule.pre = plain.post
 
 
 def _parsed_or_error(parse, *args):
