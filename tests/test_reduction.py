@@ -505,8 +505,6 @@ def _rebuilt(trace: Trace, make) -> Trace:
 
 
 def test_monitors_judge_copied_rules_as_the_protocols_own_and_foreign_rules_alone():
-    # recorded from a run_monitors that worked out each step's main states
-    # and family afresh
     protocol = compile_machine(COUNT4)
     start = Configuration({("R1@R1", 0): 3, ("R2@R2", 0): 2, ("R2@R2", 1): 1})
     trace = random_fair_run(protocol, start, seed=0, max_steps=12)
