@@ -38,8 +38,9 @@ from .exploration import (
     explore,
     opinions,
     random_fair_run,
+    _mask,
 )
-from .graph import _path_into
+from .graph import _Lazy, _path_into
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -150,20 +151,23 @@ _SWEEP_EXIT = {
 def _no_output_evidence(protocol: Protocol, config, graph, component: frozenset[int]) -> str:
     """The evidence for a NoOutput verdict: a shortest stem from the root into
     the deciding component (node ids of graph), then a shortest cycle back to
-    where it enters, or a note that the component is a deadlock. The searches
-    run on ids; only the printed nodes are decoded."""
-    if len(opinions(protocol, map(graph._node, component))) > 1:
+    where it enters, or a note that the component is a deadlock. The header
+    reads the component's opinions off its packed nodes, as the opinion pass
+    does (see :func:`exploration._mask`), and the searches run on ids, so only
+    the printed nodes are decoded, each once."""
+    if _mask(protocol, graph._packing.states(graph._keys, component)) == 3:
         text = "# evidence: reachable bottom component with mixed opinions\n"
     else:
         text = "# evidence: conflicting stable consensuses are reachable;\n"
         text += "# the trace below leads into an output-0 component\n"
+    node = _Lazy(graph._node).__getitem__
     path = [0] if 0 in component else _path_into(graph, 0, component)
-    stem = concretize_path(protocol, config, list(map(graph._node, path)))
+    stem = concretize_path(protocol, config, list(map(node, path)))
     text += "# stem\n" + formats.format_trace(protocol, stem).rstrip("\n") + "\n"
     loop = _path_into(graph, path[-1], (path[-1],))
     if loop is None:
         return text + "# deadlock: the component is a single stuck configuration\n"
-    cycle = concretize_path(protocol, stem.final, list(map(graph._node, loop)))
+    cycle = concretize_path(protocol, stem.final, list(map(node, loop)))
     return text + "# cycle\n" + formats.format_trace(protocol, cycle).rstrip("\n") + "\n"
 
 

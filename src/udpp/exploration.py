@@ -277,11 +277,11 @@ def check_well_specification(
 ) -> WellSpecReport:
     """Classify every canonical initial configuration within the bounds.
 
-    Each start is explored on its own, under its own budget, and gets the
-    verdict :func:`classify_output` would give it, in signature order per
-    agent count. Firing keeps each colour's agent count, so only starts with
-    one sorted colour histogram can meet; each such class gets one
-    :func:`_class_verdicts` pass.
+    Each start is explored on its own, every one under the same limits, and
+    gets the verdict :func:`classify_output` would give it, in signature
+    order per agent count. Firing keeps each colour's agent count, so only
+    starts with one sorted colour histogram can meet; each such class gets
+    one :func:`_class_verdicts` pass.
     """
     if max_agents < 1:
         raise ValueError("max_agents must be at least 1")
@@ -295,7 +295,7 @@ def check_well_specification(
             classes.setdefault(histogram, []).append(canon)
         by_start: dict[CanonicalConfig, OutputClass] = {}
         for members in classes.values():
-            by_start.update(zip(members, _class_verdicts(protocol, [(canon, limits) for canon in members])))
+            by_start.update(zip(members, _class_verdicts(protocol, members, limits)))
         entries += [(canon, by_start[canon]) for canon in starts]
     verdicts = {oc.verdict for _, oc in entries}
     if Verdict.NO_OUTPUT in verdicts:
@@ -303,18 +303,19 @@ def check_well_specification(
     return WellSpecReport(tuple(entries), VERDICT_INCONCLUSIVE if Verdict.UNKNOWN in verdicts else VERDICT_BOUNDED_OK)
 
 
-def _class_verdicts(protocol: Protocol, jobs: list[tuple[CanonicalConfig, ExplorationLimits]]) -> list[OutputClass]:
-    """The verdicts of these starts, each explored under its own limits into
-    one successor table over ids (see :func:`explore`). A truncated start is
-    Unknown. One Tarjan pass over the table from the complete starts' roots
-    gives every component it meets the opinions (see :func:`_mask`) of the
-    bottom components it reaches. A complete start expanded every node it
-    reaches, so the pass meets no node a budget left unexpanded; it raises
-    :class:`UdppError` exactly when a bottom component it meets holds a state without an output.
+def _class_verdicts(protocol: Protocol, starts: list[CanonicalConfig], limits: ExplorationLimits) -> list[OutputClass]:
+    """The verdicts of these starts, each explored on its own under limits
+    into one successor table over ids (see :func:`explore`). A truncated
+    start is Unknown. One Tarjan pass over the table from the complete
+    starts' roots gives every component it meets the opinions (see
+    :func:`_mask`) of the bottom components it reaches. A complete start
+    expanded every node it reaches, so the pass meets no node a budget left
+    unexpanded; it raises :class:`UdppError` exactly when a bottom component
+    it meets holds a state without an output.
     """
     table = _Table(protocol)
     roots: list[tuple[int, str | None]] = []  # per start: its table id and truncation reason
-    for canon, limits in jobs:
+    for canon in starts:
         graph = explore(protocol, canon, limits, steps=table)
         roots.append((table[graph._keys[0]], graph.truncation_reason))
     masks = _components(

@@ -236,11 +236,6 @@ def format_machine(machine: CounterMachine) -> str:
 # resolves r<position> for every rule, so a trace written against an
 # unlabelled copy of a protocol reads back against the labelled original.
 
-def rule_names(protocol: Protocol) -> list[str]:
-    """One unique single-token display name per rule, aligned with protocol.rules."""
-    return [_name(protocol, position) for position in range(len(protocol.rules))]
-
-
 def _name(protocol: Protocol, position: int) -> str:
     """The display name of the rule at position (see above)."""
     label = protocol.rules[position].label

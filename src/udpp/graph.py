@@ -187,7 +187,7 @@ def _packing(protocol: Protocol) -> _Packing:
 
 class ReachGraph:
     """Forward closure over canonical forms, as :func:`exploration.explore`
-    builds it: nodes 0, 1, ... in discovery order, so the root, expanded
+    builds it: nodes 0, 1, ... in discovery order, so the start, expanded
     first, is node 0, and node v's successors are the node ids
     ``targets[offsets[v]:offsets[v + 1]]``, in edge order.
 
@@ -195,28 +195,24 @@ class ReachGraph:
     deadlocked nodes are exactly those without successors. With one, some
     node went unexpanded and no closure property holds.
 
-    Node v is ``keys[v]`` packed by ``packing``, decoded to a
-    :class:`CanonicalConfig` when ``edges``, ``nodes`` or ``root`` first
-    reads it or :meth:`_node` is asked for it; the analyses and the path
-    search run on ids and decode nothing.
+    Node v is ``keys[v]`` packed by ``packing``. It is decoded to a
+    :class:`CanonicalConfig` on read: :meth:`_node` decodes it on each call,
+    and ``edges`` decodes every node once, so its keys and successor tuples
+    share node objects. The analyses and the path search run on ids and
+    decode nothing.
     """
 
-    __slots__ = ("truncation_reason", "_keys", "_offsets", "_targets", "_packing", "_decoded", "_edges")
+    __slots__ = ("truncation_reason", "_keys", "_offsets", "_targets", "_packing", "_edges")
 
     def __init__(
         self, keys: list[Packed], offsets: array, targets: array, packing: _Packing, truncation_reason: str | None
     ) -> None:
         self._keys, self._offsets, self._targets, self._packing = keys, offsets, targets, packing
         self.truncation_reason = truncation_reason
-        self._decoded: dict[int, CanonicalConfig] = {}
         self._edges: dict | None = None
 
     def _node(self, v: int) -> CanonicalConfig:
-        """Node v, decoded once."""
-        node = self._decoded.get(v)
-        if node is None:
-            node = self._decoded[v] = self._packing.decode(self._keys[v])
-        return node
+        return self._packing.decode(self._keys[v])
 
     def _successors(self, v: int) -> array:
         return self._targets[self._offsets[v] : self._offsets[v + 1]]
@@ -225,13 +221,9 @@ class ReachGraph:
     def edges(self) -> Mapping[CanonicalConfig, tuple[CanonicalConfig, ...]]:
         """node -> its successors, in discovery order."""
         if self._edges is None:
-            node = self._node
-            self._edges = {node(v): tuple(map(node, self._successors(v))) for v in range(len(self._keys))}
+            nodes = list(map(self._packing.decode, self._keys))
+            self._edges = {node: tuple(map(nodes.__getitem__, self._successors(v))) for v, node in enumerate(nodes)}
         return self._edges
-
-    @property
-    def root(self) -> CanonicalConfig:
-        return self._node(0)
 
     @property
     def nodes(self) -> tuple[CanonicalConfig, ...]:

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from support import random_config, random_protocol
 from udpp import cli
+from udpp import graph as graph_module
 from udpp.cli import main
-from udpp.exploration import explore
-from udpp.formats import parse_configuration, parse_trace
+from udpp.exploration import ExplorationLimits, canonicalize, classify_graph, explore
+from udpp.formats import format_configuration, format_protocol, parse_configuration, parse_trace
 from udpp.reduction import compile_machine
 from udpp.counter import CounterMachine, Halt
 
@@ -211,6 +213,31 @@ def test_classify_evidence_bytes_are_pinned(capsys, tmp_path, protocol, config, 
     pp.write_text(protocol, encoding="utf-8")
     cfg.write_text(config, encoding="utf-8")
     assert run(capsys, "classify", pp, cfg) == (3, expected, "")
+
+
+def test_classify_decodes_only_the_nodes_it_prints(capsys, monkeypatch, tmp_path):
+    # a seeded start whose deciding bottom component (8 of 18 nodes) has
+    # members that neither the stem nor the cycle visits
+    rng = random.Random(1417)
+    protocol = random_protocol(rng, max_states=4, max_rules=5)
+    config = random_config(rng, protocol.initial, max_agents=5, min_agents=4)
+    graph = explore(protocol, config, ExplorationLimits())
+    component = {graph._node(v) for v in classify_graph(protocol, graph).component}
+    pp, cfg = tmp_path / "p.pp", tmp_path / "c.cfg"
+    pp.write_text(format_protocol(protocol), encoding="utf-8")
+    cfg.write_text(format_configuration(config), encoding="utf-8")
+    decoded = []
+    decode = graph_module._Packing.decode
+    monkeypatch.setattr(graph_module._Packing, "decode", lambda packing, node: decoded.append(node) or decode(packing, node))
+    code, out, _ = run(capsys, "classify", pp, cfg)
+    stem, cycle = out.split("# stem\n")[1].split("# cycle\n")
+    printed = {
+        canonicalize(c)
+        for trace in (parse_trace(protocol, stem), parse_trace(protocol, cycle))
+        for c in (trace.initial, *(after for _, after in trace.steps))
+    }
+    assert code == 3 and len(printed) == 6 and component - printed
+    assert len(decoded) == len(printed)
 
 
 def test_classify_consensus_exit_zero(capsys, tmp_path):

@@ -106,7 +106,7 @@ def test_explore_seesaw_graph_exactly(seesaw, seesaw_runs):
     graph = explore(seesaw, c0, LIMITS)
     n0, n1, n2 = canonicalize(c0), canonicalize(c1), canonicalize(c2)
     assert not graph.truncated
-    assert graph.root == n0
+    assert graph.nodes[0] == n0
     assert set(graph.nodes) == {n0, n1, n2}
     assert graph.edges == {n0: (n1,), n1: (n2,), n2: (n1,)}
 
@@ -114,7 +114,7 @@ def test_explore_seesaw_graph_exactly(seesaw, seesaw_runs):
 def test_explore_no_rules_single_node(seesaw_runs):
     protocol = Protocol.make(("p",), (), ("p",), {"p": 1})
     graph = explore(protocol, Configuration({("p", 0): 1}), LIMITS)
-    assert len(graph) == 1 and graph.edges[graph.root] == ()
+    assert len(graph) == 1 and graph.edges[graph.nodes[0]] == ()
 
 
 def test_explore_reachable_set_bounded_by_assignments():
@@ -132,7 +132,6 @@ def test_explore_node_budget_truncates(seesaw, seesaw_runs):
     assert graph.truncated and "node budget" in graph.truncation_reason
     assert graph.nodes == tuple(graph.edges) and len(graph) == 1
     assert graph.truncated == (graph.truncation_reason is not None)
-    assert graph.root is next(iter(graph.edges))
 
 
 def test_explore_exact_budget_is_not_truncated(seesaw, seesaw_runs):
@@ -140,7 +139,6 @@ def test_explore_exact_budget_is_not_truncated(seesaw, seesaw_runs):
     assert not graph.truncated and len(graph) == 3
     assert graph.nodes == tuple(graph.edges)
     assert graph.truncated == (graph.truncation_reason is not None)
-    assert graph.root is next(iter(graph.edges))
 
 
 def test_explore_depth_budget_truncates(seesaw, seesaw_runs):
@@ -148,7 +146,6 @@ def test_explore_depth_budget_truncates(seesaw, seesaw_runs):
     assert graph.truncated and "depth budget" in graph.truncation_reason
     assert graph.nodes == tuple(graph.edges) and len(graph) == 2
     assert graph.truncated == (graph.truncation_reason is not None)
-    assert graph.root is next(iter(graph.edges))
 
 
 def test_explore_depth_budget_spares_deadlocks():
@@ -161,7 +158,7 @@ def test_explore_depth_budget_spares_deadlocks():
     assert not graph.truncated and len(graph) == 2
     graph = explore(protocol, start, ExplorationLimits(max_depth=0))
     assert graph.truncation_reason == "depth budget exceeded (max_depth=0)"
-    assert graph.edges == {graph.root: ()}
+    assert graph.edges == {graph.nodes[0]: ()}
 
 
 def _same_as_oracle(protocol, start, limits):
@@ -169,7 +166,7 @@ def _same_as_oracle(protocol, start, limits):
     truncation reason and every edge tuple, in order."""
     graph = explore(protocol, start, limits)
     oracle = fire_canonicalize_explore(protocol, start, limits)
-    assert graph.root == oracle.root
+    assert graph.nodes[0] == oracle.nodes[0]
     assert graph.truncation_reason == oracle.truncation_reason
     assert list(graph.edges.items()) == list(oracle.edges.items())
     return graph
@@ -198,14 +195,20 @@ def test_explore_matches_the_oracle_on_compiled_machines():
 
 
 def test_explore_interns_every_successor_as_its_node_key():
+    # on the complete graph and on graphs cut by either budget
     protocol, _ = compiled_witness("count4.cm", 4)
     r1, r2 = tagged(RES1, "R1"), tagged(RES2, "R2")
     start = Configuration({(r1, 0): 5, **{(r2, color): 1 for color in range(5)}})
-    graph = explore(protocol, start, ExplorationLimits())
-    keys = {node: node for node in graph.edges}
-    succs = [succ for row in graph.edges.values() for succ in row]
-    assert len(succs) == 12316
-    assert all(type(succ) is CanonicalConfig and succ is keys[succ] for succ in succs)
+    for limits, reason, edges in (
+        (ExplorationLimits(), None, 12316),
+        (ExplorationLimits(max_nodes=500), "node budget exceeded (max_nodes=500)", 1516),
+        (ExplorationLimits(max_depth=4), "depth budget exceeded (max_depth=4)", 194),
+    ):
+        graph = explore(protocol, start, limits)
+        keys = {node: node for node in graph.edges}
+        succs = [succ for row in graph.edges.values() for succ in row]
+        assert graph.truncation_reason == reason and len(keys) == len(graph) and len(succs) == edges
+        assert all(type(succ) is CanonicalConfig and succ is keys[succ] for succ in succs)
 
 
 def test_explore_matches_the_oracle_on_random_protocols():
@@ -294,7 +297,7 @@ def test_an_unnamed_start_state_is_rejected_alike_on_a_cold_and_a_warm_encode_me
         # a failed fill adds no entry; the columns the protocol names may stay
         assert before.items() <= memo.items()
         assert all({q for q, _ in column} <= {"p", "q"} for column in memo)
-        assert _same_as_oracle(protocol, known, LIMITS).root == canonicalize(known)
+        assert _same_as_oracle(protocol, known, LIMITS).nodes[0] == canonicalize(known)
 
 
 def test_a_successor_table_serves_only_its_own_protocol(seesaw, seesaw_runs):
@@ -355,14 +358,14 @@ def test_neq_fires_inside_one_class_of_two_equal_columns():
     start = Configuration({("p", 0): 1, ("p", 1): 1})
     graph = _same_as_oracle(protocol, start, LIMITS)
     after = canonicalize(Configuration({("q", 0): 1, ("r", 1): 1}))
-    assert graph.edges[graph.root] == (after,)
+    assert graph.edges[graph.nodes[0]] == (after,)
 
 
 def test_singleton_class_never_fires_neq_with_itself():
     protocol = _one_rule(Rule(("p", "q"), Guard.NEQ, ("r", "r")))
     start = Configuration({("p", 0): 1, ("q", 0): 1, ("s", 1): 1})
     graph = _same_as_oracle(protocol, start, LIMITS)
-    assert graph.edges == {graph.root: ()}
+    assert graph.edges == {graph.nodes[0]: ()}
 
 
 def test_eq_rule_with_one_pre_state_needs_two_agents_in_one_column():
@@ -371,7 +374,7 @@ def test_eq_rule_with_one_pre_state_needs_two_agents_in_one_column():
     assert _same_as_oracle(protocol, spread, LIMITS).edges == {canonicalize(spread): ()}
     paired = Configuration({("p", 0): 2, ("p", 1): 1})
     graph = _same_as_oracle(protocol, paired, LIMITS)
-    assert graph.edges[graph.root] == (canonicalize(Configuration({("q", 0): 2, ("p", 1): 1})),)
+    assert graph.edges[graph.nodes[0]] == (canonicalize(Configuration({("q", 0): 2, ("p", 1): 1})),)
 
 
 def test_class_pairs_reaching_one_orbit_give_one_edge_at_the_first_pair():
@@ -382,7 +385,7 @@ def test_class_pairs_reaching_one_orbit_give_one_edge_at_the_first_pair():
     x = canonicalize(Configuration({("q", 0): 1, ("r", 1): 1, ("q", 2): 1, ("r", 2): 1}))
     y = canonicalize(Configuration({("q", 0): 1, ("q", 1): 1, ("r", 2): 2}))
     graph = _same_as_oracle(protocol, start, ExplorationLimits(max_depth=1))
-    assert graph.edges[graph.root] == (x, y)
+    assert graph.edges[graph.nodes[0]] == (x, y)
 
 
 def test_limits_validation():
@@ -401,7 +404,7 @@ def test_bottom_sccs_seesaw(seesaw, seesaw_runs):
 def test_bottom_sccs_deadlock_is_singleton():
     protocol = Protocol.make(("p",), (), ("p",), {"p": 1})
     graph = explore(protocol, Configuration({("p", 0): 1}), LIMITS)
-    assert bottom_sccs(graph) == [frozenset({graph.root})]
+    assert bottom_sccs(graph) == [frozenset({graph.nodes[0]})]
 
 
 def _synthetic_graph(edges: dict) -> ReachGraph:
@@ -830,7 +833,7 @@ def test_explorations_sharing_one_table_match_table_free_ones(seesaw):
         shared = explore(seesaw, canon.representative(), limits, steps=steps)
         alone = explore(seesaw, canon.representative(), limits)
         assert list(shared.edges.items()) == list(alone.edges.items())
-        assert shared.root == alone.root == canon
+        assert shared.nodes[0] == alone.nodes[0] == canon
         assert shared.truncation_reason == alone.truncation_reason == reason
         nodes = list(map(decode, steps.nodes))
         assert all(steps[node] == v for v, node in enumerate(steps.nodes))
@@ -850,25 +853,22 @@ def _histogram_classes(protocol, n, k):
     return list(classes.values())
 
 
-def _per_start(protocol, jobs):
-    return [classify_output(fresh_copy(protocol), canon.representative(), limits) for canon, limits in jobs]
+def _per_start(protocol, starts, limits):
+    return [classify_output(fresh_copy(protocol), canon.representative(), limits) for canon in starts]
 
 
 def test_one_pass_per_class_matches_per_start_classification_on_random_protocols():
-    # each start of a class under its own limits, in a random order, all in one table
+    # the starts of a class under one budget, in a random order, all in one table
     rng = random.Random(241)
     seen = Counter()
-    for _ in range(250):
+    for _ in range(400):
         protocol = random_protocol(rng, max_states=4, max_rules=5)
-        for members in _histogram_classes(protocol, rng.randint(2, 5), rng.randint(2, 3)):
-            jobs = [
-                (canon, rng.choice([ExplorationLimits(), ExplorationLimits(max_nodes=rng.randint(1, 6)),
-                                    ExplorationLimits(max_depth=rng.randint(0, 3))]))
-                for canon in members
-            ]
-            rng.shuffle(jobs)
-            got = _class_verdicts(protocol, jobs)
-            assert got == _per_start(protocol, jobs)
+        for starts in _histogram_classes(protocol, rng.randint(2, 5), rng.randint(2, 3)):
+            limits = rng.choice([ExplorationLimits(), ExplorationLimits(max_nodes=rng.randint(1, 6)),
+                                 ExplorationLimits(max_depth=rng.randint(0, 3))])
+            rng.shuffle(starts)
+            got = _class_verdicts(protocol, starts, limits)
+            assert got == _per_start(protocol, starts, limits)
             seen.update(oc.verdict for oc in got)
             seen["mixed classes"] += len({oc.verdict is Verdict.UNKNOWN for oc in got}) == 2
     assert min(seen.values()) >= 100, seen
@@ -876,25 +876,23 @@ def test_one_pass_per_class_matches_per_start_classification_on_random_protocols
 
 def test_one_pass_gives_two_starts_on_one_cycle_their_verdicts(seesaw, seesaw_runs):
     c0, c1, c2 = map(canonicalize, seesaw_runs)  # c0 -> c1 -> c2 -> c1
-    for jobs in ([(c1, LIMITS), (c2, LIMITS)], [(c2, LIMITS), (c1, LIMITS), (c0, LIMITS)]):
-        got = _class_verdicts(seesaw, jobs)
-        assert got == _per_start(seesaw, jobs) and {oc.verdict for oc in got} == {Verdict.NO_OUTPUT}
+    for starts in ([c1, c2], [c2, c1, c0]):
+        got = _class_verdicts(seesaw, starts, LIMITS)
+        assert got == _per_start(seesaw, starts, LIMITS) and {oc.verdict for oc in got} == {Verdict.NO_OUTPUT}
 
 
 def test_a_complete_start_expands_what_a_truncated_one_only_discovered(seesaw, seesaw_runs):
-    c0, c1, c2 = map(canonicalize, seesaw_runs)
-    jobs = [(c0, ExplorationLimits(max_nodes=1)), (c1, ExplorationLimits(max_depth=0)), (c2, LIMITS)]
+    c0, c1, c2 = starts = list(map(canonicalize, seesaw_runs))
+    limits = ExplorationLimits(max_nodes=2)
     table = _Table(seesaw)
     encode = _packing(seesaw).encode
-    for canon, limits in jobs[:2]:
-        explore(seesaw, canon, limits, steps=table)
-    # c1 was expanded by its own start; c2 only discovered, as c1's successor
+    explore(seesaw, c0, limits, steps=table)
+    # c0's start expanded c0 and c1, and only discovered c2, as c1's successor
+    assert table.succs[table[encode(c0)]] == (table[encode(c1)],)
     assert table.succs[table[encode(c1)]] == (table[encode(c2)],) and table.succs[table[encode(c2)]] is None
-    got = _class_verdicts(seesaw, jobs)
-    assert got == _per_start(seesaw, jobs)
-    assert [oc.describe() for oc in got] == [
-        "Unknown(node budget exceeded (max_nodes=1))", "Unknown(depth budget exceeded (max_depth=0))", "NoOutput"
-    ]
+    got = _class_verdicts(seesaw, starts, limits)
+    assert got == _per_start(seesaw, starts, limits)
+    assert [oc.describe() for oc in got] == ["Unknown(node budget exceeded (max_nodes=2))", "NoOutput", "NoOutput"]
 
 
 def _no_output_for_z(*rules):

@@ -27,7 +27,7 @@ from udpp.formats import (
     parse_machine,
     parse_protocol,
     parse_trace,
-    rule_names,
+    _name,
 )
 from udpp.reduction import compile_machine
 
@@ -222,9 +222,14 @@ def test_trace_parse_of_no_lines_is_the_empty_trace():
         assert parse_trace(seesaw_protocol(), text) == Trace(Configuration(), ())
 
 
+def _names(protocol):
+    """The display name of every rule, in position order."""
+    return [_name(protocol, position) for position in range(len(protocol.rules))]
+
+
 def test_rule_names_unique_even_for_duplicate_labels():
     for labels, expected in SEESAW_LABELS:
-        assert rule_names(relabelled_seesaw(labels)) == expected
+        assert _names(relabelled_seesaw(labels)) == expected
 
 
 def test_fire_names_resolve_as_in_the_full_name_table():
@@ -242,7 +247,7 @@ def test_fire_names_resolve_as_in_the_full_name_table():
         pool = rng.sample((None, *names), rng.randint(1, 5))
         rules = [replace(rule, label=rng.choice(pool)) for rule in protocol.rules]
         protocol = Protocol.make(protocol.states, rules, protocol.initial, protocol.output)
-        assert rule_names(protocol) == reference_rule_names(protocol)
+        assert _names(protocol) == reference_rule_names(protocol)
         q = protocol.states[0]
         for name in rng.sample(names, 6):
             text = f"agent {q} 0 1\nagent {q} 1 1\n\nfire {name} {rng.randint(0, 1)} 1\n\nagent {q} 0 2\n"
@@ -259,14 +264,14 @@ def test_each_protocol_names_its_rules_by_its_own_labels():
     c0, _, _ = seesaw_configs()
     trace = random_fair_run(seesaw, c0, seed=7, max_steps=5)
     text = format_trace(seesaw, trace)
-    assert parse_trace(seesaw, text) == trace and rule_names(seesaw) == ["recruit", "bounce"]
+    assert parse_trace(seesaw, text) == trace and _names(seesaw) == ["recruit", "bounce"]
     # equal rules, other labels: one protocol through dataclasses.replace,
     # one made afresh; both equal the first, which has built its table
     swapped = replace(seesaw, rules=tuple(replace(rule, label=label) for rule, label in zip(seesaw.rules, ("bounce", "recruit"))))
     positional = relabelled_seesaw((None, "r0"))
     assert swapped == seesaw == positional
     for protocol, names in ((swapped, ["bounce", "recruit"]), (positional, ["r0", "r1"]), (seesaw, ["recruit", "bounce"])):
-        assert rule_names(protocol) == names
+        assert _names(protocol) == names
         again = format_trace(protocol, trace)
         assert again == reference_format_trace(protocol, trace)
         assert [line.split()[1] for line in again.splitlines() if line.startswith("fire")] == [
