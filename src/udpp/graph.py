@@ -2,15 +2,17 @@
 
 An orbit node is a configuration up to color renaming, a
 :class:`CanonicalConfig`. The explorer steps a packed form of it, written
-over a state -> rank table that each protocol builds once (:class:`_Packing`);
-a :class:`ReachGraph` numbers its nodes in discovery order and keeps its
-edges in compressed sparse rows, so that Tarjan's algorithm and the path
-searches run on ints. A node is decoded to a CanonicalConfig only when it is
-read. This module is the only one that reads or writes packed columns: the
-explorer gets packed successors from :func:`_successors` (or ids from a
-:class:`_Table`) and the one opinion pass, :func:`_components`, a bottom
-component's states from :meth:`_Packing.states`. :mod:`udpp.exploration`
-re-exports the public names.
+over a state -> rank table and a table of interned column ids that each
+protocol builds once (:class:`_Packing`): a packed node is a sorted tuple
+of column ids. A :class:`ReachGraph` numbers its nodes in discovery order
+and keeps its edges in compressed sparse rows, so that Tarjan's algorithm
+and the path searches run on ints. A node is decoded to a CanonicalConfig
+only when it is read. This module is the only one that reads or writes
+packed columns or column ids: the explorer gets packed successors from
+:func:`_successors` (or ids from a :class:`_Table`) and the one opinion
+pass, :func:`_components`, a bottom component's states from
+:meth:`_Packing.states`. :mod:`udpp.exploration` re-exports the public
+names.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .core import _EQ, Configuration, Protocol, StateId, _positions_within
 
 Column = tuple[tuple[StateId, int], ...]
 # A packed column is the flat int tuple (rank, count, rank, count, ...) of a
-# column, a packed node the sorted tuple of its packed columns (see _Packing).
-Packed = tuple[tuple[int, ...], ...]
+# column, a packed node the tuple of its interned column ids sorted by id
+# (see _Packing).
+Packed = tuple[int, ...]
 
 
 class CanonicalConfig(tuple[Column, ...]):
@@ -71,16 +74,24 @@ class _Packing:
 
     Each state gets its rank among the sorted names of the protocol's
     states: the declared and initial ones and those its rules name. A column
-    packs to the flat tuple (rank, count, rank, count, ...) and a signature
-    to the tuple of its packed columns. Ranks follow the names, so packed
-    columns and nodes compare and sort exactly as their decoded forms do.
+    packs to the flat tuple (rank, count, rank, count, ...); ranks follow
+    the names, so packed columns sort as their decoded forms do. Each packed
+    column is interned once: ``columns[i]`` is the packed column with id i
+    and ``ids`` maps a packed column to its id, giving the next id on first
+    lookup. A node packs to its column ids sorted by id, so packed nodes do
+    not sort as their signatures do; :func:`_successors` sorts a node's ids
+    by column when it expands it, and :meth:`decode` sorts the columns.
 
     A move takes one agent from each state of a sorted tuple and gives one
     to each state of another; ``moves[key]`` is the (take, give) pair of a
-    move. A rule packs, once and when first used, to (is EQ, p, p', key,
+    move. A rule packs, once and when first used, to (kind, p, p', key,
     key'): an EQ rule moves both agents of one column at once (key' is key),
     a NEQ rule the agent at p by key and the one at p' by key'. Role order
     does not matter to an EQ move, so role-permuted EQ rules share one key.
+    The kind of a NEQ rule tells whether the agent at p, the one at p', or
+    both keep their states (a move whose take is its give), so that
+    :func:`_successors` steps such a rule once per class of the agent that
+    moves.
 
     A rule's effect is its EQ move key, or the unordered pair of its NEQ
     move keys. A rule whose effect an earlier rule already has packs to
@@ -88,10 +99,10 @@ class _Packing:
     same pre-states, so it is in every active set the later one is in, and
     it reaches each of the later rule's successors first (see
     :func:`_successors`). The scheduler's :func:`core._candidates` keeps
-    every rule. Every memo here, the column rewrites and the column ->
-    packed column memo that :meth:`encode` reads included, lives as long as
-    the protocol. The packing holds the protocol's rules and pre-state index,
-    not the protocol, which holds the packing.
+    every rule. Every memo here, the interned columns, their rewrites and
+    the column -> id memo that :meth:`encode` reads included, lives as long
+    as the protocol. The packing holds the protocol's rules and pre-state
+    index, not the protocol, which holds the packing.
     """
 
     def __init__(self, protocol: Protocol) -> None:
@@ -101,15 +112,24 @@ class _Packing:
         self.ranks = {q: r for r, q in enumerate(self.names)}
         self.moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self._keys: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # move -> its key
-        self._rules: dict[int, tuple[bool, int, int, int, int] | bool] = {}  # by rule position
+        self._rules: dict[int, tuple[int, int, int, int, int] | bool] = {}  # by rule position
         self._effects: set[int | frozenset[int]] = set()  # the effects of the rules packed so far
-        self._within: dict[frozenset[int], tuple[tuple[bool, int, int, int, int], ...]] = {}
-        names, ranks, moves = self.names, self.ranks, self.moves
-        self._columns = _Lazy(lambda column: tuple(zip(map(names.__getitem__, column[::2]), column[1::2])))
-        self._packed_columns = _Lazy(lambda column: tuple(x for q, n in column for x in (ranks[q], n)))
-        self._rewrites = _Lazy(lambda column: _Rewrites(column, moves))
+        self._within: dict[frozenset[int], tuple[tuple[int, int, int, int, int], ...]] = {}
+        self.columns: list[tuple[int, ...]] = []  # id -> packed column
+        names, ranks, moves, columns = self.names, self.ranks, self.moves, self.columns
 
-    def rules_within(self, active: frozenset[int]) -> tuple[tuple[bool, int, int, int, int], ...]:
+        def intern(column: tuple[int, ...]) -> int:
+            columns.append(column)
+            return len(columns) - 1
+
+        # No memo's fill reaches the packing or a memo that reaches the fill,
+        # so a packing is freed without the cycle collector.
+        self.ids = ids = _Lazy(intern)  # packed column -> id
+        self.rewrites = _Lazy(lambda i: _Rewrites(columns[i], moves, ids))  # id -> its column's rewrites
+        self._decoded = _Lazy(lambda i: tuple(zip(map(names.__getitem__, columns[i][::2]), columns[i][1::2])))
+        self._column_ids = _Lazy(lambda column: ids[tuple(x for q, n in column for x in (ranks[q], n))])
+
+    def rules_within(self, active: frozenset[int]) -> tuple[tuple[int, int, int, int, int], ...]:
         """The packed rules whose two pre-states are ranked in active, in
         position order and without a repeated effect, memoised per active
         set; a miss asks :func:`core._positions_within` for the
@@ -120,7 +140,7 @@ class _Packing:
             rules = self._within[active] = tuple(filter(None, map(self._packed, positions)))
         return rules
 
-    def _packed(self, position: int) -> tuple[bool, int, int, int, int] | bool:
+    def _packed(self, position: int) -> tuple[int, int, int, int, int] | bool:
         """The packed rule at position, or False when an earlier rule has
         its effect. Positions are packed in ascending order within an active
         set, so the earlier rule is always packed first."""
@@ -128,17 +148,18 @@ class _Packing:
         if packed is None:
             rule = self.rules[position]
             (p, p2), (q, q2) = [self.ranks[s] for s in rule.pre], [self.ranks[s] for s in rule.post]
-            eq = rule.guard is _EQ
-            if eq:
+            if rule.guard is _EQ:
+                kind = _EQ_MOVE
                 key = key2 = effect = self._key((tuple(sorted((p, p2))), tuple(sorted((q, q2)))))
             else:
+                kind = _NEQ_BOTH + (p == q) + 2 * (p2 == q2)
                 key, key2 = self._key(((p,), (q,))), self._key(((p2,), (q2,)))
                 effect = frozenset((key, key2))
             if effect in self._effects:
                 packed = False
             else:
                 self._effects.add(effect)
-                packed = (eq, p, p2, key, key2)
+                packed = (kind, p, p2, key, key2)
             self._rules[position] = packed
         return packed
 
@@ -152,14 +173,23 @@ class _Packing:
     def encode(self, canon: CanonicalConfig) -> Packed:
         """canon packed, one memo lookup per column; a state without a rank
         raises KeyError and leaves the memo as it was."""
-        return tuple(map(self._packed_columns.__getitem__, canon))
+        return tuple(sorted(map(self._column_ids.__getitem__, canon)))
 
     def decode(self, node: Packed) -> CanonicalConfig:
-        return CanonicalConfig(map(self._columns.__getitem__, node))
+        return CanonicalConfig(sorted(map(self._decoded.__getitem__, node)))
 
     def states(self, nodes: list[Packed], ids: Iterable[int]) -> set[StateId]:
         """The states active at the packed nodes ``nodes[v]`` for v in ids, read off by rank."""
-        return set(map(self.names.__getitem__, {r for v in ids for column in nodes[v] for r in column[::2]}))
+        columns = self.columns
+        ranks = {r for i in {i for v in ids for i in nodes[v]} for r in columns[i][::2]}
+        return set(map(self.names.__getitem__, ranks))
+
+
+# The kinds of packed rule (see _Packing): an EQ rule, and a NEQ rule in
+# which both agents move, only the agent at p' moves, only the agent at p
+# moves, or neither does; a NEQ rule's kind is _NEQ_BOTH + (p keeps) +
+# 2 * (p' keeps).
+_EQ_MOVE, _NEQ_BOTH, _NEQ_SECOND, _NEQ_FIRST, _NEQ_NONE = range(5)
 
 
 class _Lazy(dict):
@@ -197,8 +227,9 @@ class ReachGraph:
 
     Node v is ``keys[v]`` packed by ``packing``. It is decoded to a
     :class:`CanonicalConfig` on read: :meth:`_node` decodes it on each call,
-    and ``edges`` decodes every node once, so its keys and successor tuples
-    share node objects. The analyses and the path search run on ids and
+    and ``edges`` decodes every node once and slices each successor tuple
+    from one tuple of edge heads, so its keys and successor tuples share
+    node objects. The analyses and the path search run on ids and
     decode nothing.
     """
 
@@ -222,7 +253,9 @@ class ReachGraph:
         """node -> its successors, in discovery order."""
         if self._edges is None:
             nodes = list(map(self._packing.decode, self._keys))
-            self._edges = {node: tuple(map(nodes.__getitem__, self._successors(v))) for v, node in enumerate(nodes)}
+            heads = tuple(map(nodes.__getitem__, self._targets))  # every edge's head, in edge order
+            offsets = self._offsets
+            self._edges = {node: heads[offsets[v] : offsets[v + 1]] for v, node in enumerate(nodes)}
         return self._edges
 
     @property
@@ -238,17 +271,20 @@ class ReachGraph:
 
 
 class _Rewrites(dict):
-    """move key -> one packed column after that move (see :class:`_Packing`),
-    or False when the column lacks an agent to take; computed on first
-    lookup, in one pass over a list copy of the column. Every take comes
-    before any give, so a give never stands in for a missing agent; a rank
-    given anew goes in at its sorted position, as :func:`core._apply` sorts."""
+    """move key -> the id of one packed column after that move (see
+    :class:`_Packing`), or False when the column lacks an agent to take;
+    computed on first lookup, in one pass over a list copy of the column,
+    and interned through ids. Every take comes before any give, so a give
+    never stands in for a missing agent; a rank given anew goes in at its
+    sorted position, as :func:`core._apply` sorts."""
 
-    def __init__(self, column: tuple[int, ...], moves: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
+    def __init__(
+        self, column: tuple[int, ...], moves: list[tuple[tuple[int, ...], tuple[int, ...]]], ids: Mapping
+    ) -> None:
         super().__init__()
-        self.column, self.moves = column, moves
+        self.column, self.moves, self.ids = column, moves, ids
 
-    def __missing__(self, key: int) -> tuple[int, ...] | bool:
+    def __missing__(self, key: int) -> int | bool:
         take, give = self.moves[key]
         out = list(self.column)
         for r in take:
@@ -272,8 +308,8 @@ class _Rewrites(dict):
                     i = 2 * bisect(ranks, r)
                     out[i:i] = (r, 1)
             after = tuple(out)
-        self[key] = after
-        return after
+        i = self[key] = self.ids[after]
+        return i
 
 
 def _successors(packing: _Packing, node: Packed) -> dict[Packed, None]:
@@ -281,13 +317,25 @@ def _successors(packing: _Packing, node: Packed) -> dict[Packed, None]:
     once, in the order in which firing the instances of its representative
     (rule position, then d, then e) first reaches them.
 
-    Equal columns sit next to each other and form a class. Swapping two
-    colors of a class fixes the configuration, so an instance's successor
-    depends only on its rule and on the classes of d and e. The first
-    instance of a rule with d in class c and e in class c2 takes the first
-    color of each class (for e, the second one when c2 is c), and these
-    first instances come in the order of (c, c2). Trying the classes in that
-    order therefore meets each successor where firing meets it first.
+    Equal columns form a class. Swapping two colors of a class fixes the
+    configuration, so an instance's successor depends only on its rule and
+    on the classes of d and e. The representative gives the colors to the
+    classes in column order, so the node's distinct ids are sorted by their
+    packed columns once per call. The first instance of a rule with d in
+    class c and e in class c2 takes the first color of each class (for e,
+    the second one when c2 is c), and these first instances come in the
+    order of (c, c2). Trying the classes in that order therefore meets each
+    successor where firing meets it first. A successor replaces the ids of
+    the classes that moved and sorts the ids again.
+
+    A NEQ rule in which one agent keeps its state reaches one successor per
+    class of the agent that moves; the keeping agent's class only decides
+    whether the pair is valid and, when e moves, when a successor is first
+    met. When the agent at p' moves, the pass at d's first class c0 meets
+    every class of e but c0 itself when c0 has one color; that successor is
+    met at d's second class, after all the others. A NEQ rule in which both
+    agents keep their states reaches the node itself, once, if some pair is
+    valid.
 
     The packed rule list leaves out each rule whose effect an earlier rule
     has (see :class:`_Packing`). The earlier rule is in the list whenever
@@ -295,53 +343,76 @@ def _successors(packing: _Packing, node: Packed) -> dict[Packed, None]:
     later rule's at a smaller rule position, so the result and its order
     are what the full list gives.
 
-    Each class fetches its column's rewrites once from the packing's memo,
-    which the protocol keeps, keyed by the packed rules' move keys (see
-    :class:`_Packing`).
+    A class is one tuple, listed under each rank its column holds: its
+    column's rewrites, fetched once from the packing's memo, which the
+    protocol keeps, keyed by the packed rules' move keys (see
+    :class:`_Packing`); the position of its first id in node; and whether
+    it has two colors or more. Two classes are told apart by identity.
 
     These class loops are kept apart from :func:`core._candidates` and
     :func:`core._apply` on purpose: both merges measured slower (ROADMAP,
     north-star item 2).
     """
-    memo = packing._rewrites
-    firsts: list[int] = []  # per class: its first color
-    sizes: list[int] = []  # per class: its number of colors
-    rewrites: list[_Rewrites] = []  # per class: its column's rewrites
-    at: dict[int, list[int]] = {}  # rank -> the classes holding it, ascending
-    previous = None
-    for color, column in enumerate(node):
-        if column == previous:
-            sizes[-1] += 1
-            continue
-        previous = column
-        for r in column[::2]:
-            at.setdefault(r, []).append(len(firsts))
-        firsts.append(color)
-        sizes.append(1)
-        rewrites.append(memo[column])
+    columns, memo = packing.columns, packing.rewrites
+    at: dict[int, list[tuple[_Rewrites, int, bool]]] = {}  # rank -> the classes holding it, in column order
+    for i in sorted(set(node), key=columns.__getitem__):
+        # a class: its column's rewrites, the position of its first id in node, whether it has two colors
+        cls = (memo[i], node.index(i), node.count(i) > 1)
+        for r in columns[i][::2]:
+            at.setdefault(r, []).append(cls)
 
     out: dict[Packed, None] = {}
-    for eq, p, p2, key, key2 in packing.rules_within(frozenset(at)):
-        if eq:
+    for kind, p, p2, key, key2 in packing.rules_within(frozenset(at)):
+        if kind == _EQ_MOVE:
+            for rewrites, first, _ in at[p]:
+                after = rewrites[key]
+                if after is not False:
+                    ids = list(node)
+                    ids[first] = after
+                    ids.sort()
+                    out[tuple(ids)] = None
+        elif kind == _NEQ_SECOND:  # the agent at p keeps its state: one successor per class of e
+            cs = at[p]
+            c0 = cs[0]
+            late = None
+            for c2 in at[p2]:
+                if c2 is c0 and not c0[2]:
+                    if len(cs) > 1:
+                        late = c2
+                    continue
+                ids = list(node)
+                ids[c2[1]] = c2[0][key2]
+                ids.sort()
+                out[tuple(ids)] = None
+            if late is not None:
+                ids = list(node)
+                ids[late[1]] = late[0][key2]
+                ids.sort()
+                out[tuple(ids)] = None
+        elif kind == _NEQ_NONE:  # both agents keep their states: the node itself, if some pair is valid
+            cs, c2s = at[p], at[p2]
+            if len(cs) > 1 or len(c2s) > 1 or cs[0] is not c2s[0] or cs[0][2]:
+                out[node] = None
+        elif kind == _NEQ_BOTH:
             for c in at[p]:
-                after = rewrites[c][key]
-                if after:
-                    columns = list(node)
-                    columns[firsts[c]] = after
-                    columns.sort()
-                    out[tuple(columns)] = None
-        else:
-            for c in at[p]:
-                d = firsts[c]
-                after = rewrites[c][key]
+                rewrites, d, pair = c
+                after = rewrites[key]
                 for c2 in at[p2]:
-                    if c == c2 and sizes[c] < 2:
+                    if c2 is c and not pair:
                         continue
-                    columns = list(node)
-                    columns[d] = after
-                    columns[firsts[c2] + (c == c2)] = rewrites[c2][key2]
-                    columns.sort()
-                    out[tuple(columns)] = None
+                    ids = list(node)
+                    ids[d] = after
+                    ids[c2[1] + (c2 is c)] = c2[0][key2]
+                    ids.sort()
+                    out[tuple(ids)] = None
+        else:  # the agent at p' keeps its state: one successor per class of d
+            c2s = at[p2]
+            for c in at[p]:
+                if c[2] or len(c2s) > 1 or c2s[0] is not c:
+                    ids = list(node)
+                    ids[c[1]] = c[0][key]
+                    ids.sort()
+                    out[tuple(ids)] = None
     return out
 
 

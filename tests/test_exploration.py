@@ -226,15 +226,16 @@ def test_explore_matches_the_oracle_on_random_protocols():
 
 
 def test_an_explored_protocol_is_freed_without_the_cycle_collector(seesaw_runs):
-    # the protocol caches its packed form, which must not point back at it
+    # the protocol caches its packed form, which must not point back at it,
+    # and whose memos must not point back at each other
     protocol = seesaw_protocol()
     graph = explore(protocol, seesaw_runs[0], LIMITS)
     assert classify_graph(protocol, graph).verdict is Verdict.NO_OUTPUT
-    alive = weakref.ref(protocol)
+    alive, packing = weakref.ref(protocol), weakref.ref(_packing(protocol))
     gc.disable()
     try:
         del protocol, graph
-        assert alive() is None
+        assert alive() is None and packing() is None
     finally:
         gc.enable()
 
@@ -282,20 +283,22 @@ def test_an_unnamed_start_state_is_rejected_alike_on_a_cold_and_a_warm_encode_me
     known = Configuration({("p", 0): 2, ("q", 1): 1, ("q", 2): 1})
     for warm in (False, True):
         protocol = fresh_copy(seesaw)
-        memo = _packing(protocol)._packed_columns
+        packing = _packing(protocol)
+        memo = packing._column_ids
         if warm:
             for n in range(1, 4):
                 for canon in enumerate_initial_configs(protocol, n, 3):
                     explore(protocol, canon, LIMITS)
             assert len(memo) >= 9
-        before = dict(memo)
+        before, interned = dict(memo), list(packing.columns)
         for given in (start, canonicalize(start)):
             with pytest.raises(UdppError, match=message):
                 explore(protocol, given, LIMITS)
             with pytest.raises(UdppError, match=message):
                 explore(protocol, given, LIMITS, steps=_Table(protocol))
-        # a failed fill adds no entry; the columns the protocol names may stay
-        assert before.items() <= memo.items()
+        # a failed fill adds no entry and interns nothing; the columns the protocol names may stay
+        assert before.items() <= memo.items() and packing.columns[: len(interned)] == interned
+        assert all(packing._decoded[i] == column for column, i in memo.items())
         assert all({q for q, _ in column} <= {"p", "q"} for column in memo)
         assert _same_as_oracle(protocol, known, LIMITS).nodes[0] == canonicalize(known)
 
@@ -790,14 +793,18 @@ def test_a_column_rewrite_matches_the_copy_and_sort_fill():
     ranks = range(6)
     takes = [(r,) for r in ranks] + list(combinations_with_replacement(ranks, 2))
     moves = [(take, give) for take in takes for give in takes if len(take) == len(give)]
+    states = tuple(f"s{r}" for r in ranks)
+    packing = _packing(Protocol.make(states, (), states, dict.fromkeys(states, 0)))  # ranks s0..s5 as 0..5
     cases = Counter()
     for _ in range(150):
         chosen = sorted(rng.sample(ranks, rng.randint(1, 4)))
         column = tuple(x for r in chosen for x in (r, rng.randint(1, 2)))
-        rewrites = _Rewrites(column, moves)
+        rewrites = _Rewrites(column, moves, packing.ids)
         for key, (take, give) in enumerate(moves):
             want = reference_rewrite(column, take, give)
-            assert rewrites[key] == want, (column, take, give)
+            got = rewrites[key]
+            assert (got if got is False else packing.columns[got]) == want, (column, take, give)
+            assert got is False or packing.ids[want] == got
             counts = dict(zip(column[::2], column[1::2]))
             if take[0] == take[-1] and len(take) == 2 and take[0] in counts:
                 cases["double take", counts[take[0]]] += 1
@@ -810,6 +817,96 @@ def test_a_column_rewrite_matches_the_copy_and_sort_fill():
     assert set(cases) == {
         ("double take", 1), ("double take", 2), "give back", "new lowest rank", "take only the give supplies"
     }
+
+
+def _catalyst_protocol(rng):
+    """A random protocol on s0, s1, s2 with every state initial, plus NEQ
+    rules in which the first agent, the second or both keep their states,
+    at random positions."""
+    base = random_protocol(rng, max_states=3, max_rules=3)
+    states = ("s0", "s1", "s2")
+    rules = list(base.rules)
+    for _ in range(rng.randint(1, 3)):
+        pre = (rng.choice(states), rng.choice(states))
+        moved = rng.choice(states)
+        post = rng.choice(((pre[0], moved), (moved, pre[1]), pre))
+        rules.insert(rng.randint(0, len(rules)), Rule(pre, Guard.NEQ, post))
+    return Protocol.make(states, rules, states, {q: rng.randint(0, 1) for q in states})
+
+
+def _catalyst_start(rng, rule, states):
+    """A start with one class holding both pre-states of rule, on one or two
+    colours, and zero to two more colours, which may hold the rule's
+    pre-states too."""
+    shared = Counter(rule.pre)
+    shared[rng.choice(states)] += rng.randint(0, 1)
+    copies = rng.randint(1, 2)
+    counts = Counter({(q, color): n for color in range(copies) for q, n in shared.items()})
+    for color in range(copies, copies + rng.randint(0, 2)):
+        for _ in range(rng.randint(1, 2)):
+            counts[rng.choice((*rule.pre, *states)), color] += 1
+    return Configuration(counts)
+
+
+def test_catalyst_and_no_op_rules_step_as_firing_does_on_random_protocols():
+    # one agent keeps its state (a catalyst) or both do (a no-op); the agents
+    # share a class of one colour or of two, the keeping state sits in one
+    # class or in several
+    rng = random.Random(523)
+    cases = Counter()
+    for _ in range(120):
+        protocol = _catalyst_protocol(rng)
+        kept = [rule for rule in protocol.rules if rule.guard is Guard.NEQ and rule.pre[0] == rule.post[0]]
+        kept += [rule for rule in protocol.rules if rule.guard is Guard.NEQ and rule.pre[1] == rule.post[1]]
+        for _ in range(3):
+            rule = rng.choice(kept)
+            start = _catalyst_start(rng, rule, protocol.states)
+            canon = canonicalize(start)
+            keeper = rule.pre[0] if rule.pre[0] == rule.post[0] else rule.pre[1]
+            shared = [canon.count(column) for column in set(canon) if set(rule.pre) <= {q for q, _ in column}]
+            holding = sum(keeper in dict(column) for column in set(canon))
+            no_op = rule.pre == rule.post
+            colours = "one colour" if min(shared) == 1 else "two colours or more"
+            cases[no_op, colours, "keeper in several classes" if holding > 1 else "keeper in one class"] += 1
+            _same_as_oracle(protocol, start, ExplorationLimits())
+            cases["node budget hit"] += _same_as_oracle(
+                protocol, start, ExplorationLimits(max_nodes=rng.randint(1, 8))
+            ).truncated
+            cases["depth budget hit"] += _same_as_oracle(
+                protocol, start, ExplorationLimits(max_depth=rng.randint(0, 3))
+            ).truncated
+        limits = rng.choice([ExplorationLimits(), ExplorationLimits(max_nodes=rng.randint(1, 8))])
+        _same_sweep(protocol, 3, 2, limits)
+    assert len(cases) == 10 and min(cases.values()) >= 10, cases
+
+
+def test_packed_nodes_are_canonical_whatever_order_their_columns_were_interned_in():
+    rng = random.Random(617)
+    interned_apart = 0
+    for _ in range(40):
+        protocol = random_protocol(rng, max_states=4, max_rules=4)
+        starts = [random_config(rng, protocol.states, max_agents=5, max_colors=4) for _ in range(4)]
+        graphs, orders = [], set()  # per copy: its decoded graphs; the orders its columns were interned in
+        for order in (starts, starts[::-1], rng.sample(starts, len(starts))):
+            copy = fresh_copy(protocol)
+            packing = _packing(copy)
+            for start in order:  # warm the memos in this order
+                explore(copy, start, LIMITS)
+            for _ in range(10):
+                config = random_config(rng, protocol.states, max_agents=6, max_colors=4)
+                recolored = apply_color_map(config, random_color_bijection(rng, [c for (_, c), _ in config.items()]))
+                canon = canonicalize(config)
+                assert packing.encode(canon) == packing.encode(canonicalize(recolored))
+                assert packing.decode(packing.encode(canon)) == canon
+            for start in starts:
+                graph = explore(copy, start, LIMITS)
+                assert all(packing.encode(packing.decode(key)) == key for key in graph._keys)
+                graphs.append(list(graph.edges.items()))
+            orders.add(tuple(packing.columns))
+        interned_apart += len(orders) > 1
+        # the decoded graphs do not depend on the order
+        assert graphs[: len(starts)] == graphs[len(starts) : 2 * len(starts)] == graphs[2 * len(starts) :]
+    assert interned_apart >= 20
 
 
 def test_explorations_sharing_one_table_match_table_free_ones(seesaw):
