@@ -276,27 +276,42 @@ def is_initial(protocol: Protocol, config: Configuration) -> bool:
     return config.active_states() <= protocol.initial
 
 
-def _candidates(protocol: Protocol, config: Configuration) -> list[tuple[Rule, ColorId, ColorId]]:
-    """The (rule, d, e) rows of the enabled instances, ordered by rule
-    position, then d, then e.
+def _colors_at(counts: dict[CountKey, int]) -> dict[StateId, tuple[ColorId, ...]]:
+    """state -> its colours in counts, ascending (the keys are sorted)."""
+    colors_at: dict[StateId, list[ColorId]] = {}
+    for state, color in counts:
+        colors_at.setdefault(state, []).append(color)
+    return {state: tuple(colors) for state, colors in colors_at.items()}
+
+
+def _rule_rows(
+    rule: Rule, colors_at: dict[StateId, tuple[ColorId, ...]], counts: dict[CountKey, int]
+) -> list[tuple[Rule, ColorId, ColorId]]:
+    """One rule's (rule, d, e) rows, ordered by d, then e; colors_at
+    (:func:`_colors_at`) must hold both pre-states.
 
     An EQ rule has the rows (d, d) where d has an agent at pre[0] and enough
     agents at pre[1]: two when both roles are the same (state, color) pair.
     A NEQ rule has the rows (d, e) with d at pre[0], e at pre[1] and d != e.
+    So only an EQ rule whose two pre-states are equal reads counts beyond
+    the colours at its pre-states.
     """
-    counts = config._counts
-    colors_at: dict[StateId, list[ColorId]] = {}
-    for state, color in counts:
-        colors_at.setdefault(state, []).append(color)  # sorted, keys are sorted
+    p, p2 = rule.pre
+    if rule.guard is _EQ:
+        need = 2 if p == p2 else 1
+        return [(rule, d, d) for d in colors_at[p] if counts.get((p2, d), 0) >= need]
+    return [(rule, d, e) for d in colors_at[p] for e in colors_at[p2] if d != e]
 
+
+def _candidates(protocol: Protocol, config: Configuration) -> list[tuple[Rule, ColorId, ColorId]]:
+    """The (rule, d, e) rows of the enabled instances, ordered by rule
+    position, then d, then e: the :func:`_rule_rows` of each rule whose two
+    pre-states are active, in position order."""
+    counts = config._counts
+    colors_at = _colors_at(counts)
     rows: list[tuple[Rule, ColorId, ColorId]] = []
     for rule in protocol.rules_within(frozenset(colors_at)):
-        p, p2 = rule.pre
-        if rule.guard is _EQ:
-            need = 2 if p == p2 else 1
-            rows += [(rule, d, d) for d in colors_at[p] if counts.get((p2, d), 0) >= need]
-        else:
-            rows += [(rule, d, e) for d in colors_at[p] for e in colors_at[p2] if d != e]
+        rows += _rule_rows(rule, colors_at, counts)
     return rows
 
 

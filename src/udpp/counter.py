@@ -136,7 +136,10 @@ def cm_trace(machine: CounterMachine) -> Iterator[tuple[CmConfig, Instr]]:
 
 
 def cm_run(machine: CounterMachine, max_steps: int) -> CmRunResult:
-    """Run from (1, 0, 0) for at most max_steps steps."""
+    """Run from (1, 0, 0) for at most max_steps steps; raises ValueError
+    when max_steps is negative."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
     zero_branches = 0
     for taken, (current, ins) in enumerate(cm_trace(machine)):
         if isinstance(ins, Halt):

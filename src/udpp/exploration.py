@@ -32,7 +32,9 @@ from .core import (
     Trace,
     TransitionInstance,
     UdppError,
-    _candidates,
+    _EQ,
+    _colors_at,
+    _rule_rows,
     enabled_instances,
     fire,
 )
@@ -333,18 +335,75 @@ def random_fair_run(
     Each step draws one index uniformly over the enabled instances in the
     order of :func:`enabled_instances` and builds only that instance. On a
     finite reachable set this sampling is fair with probability one. Stops at
-    a deadlock or after max_steps; fully reproducible from the seed.
+    a deadlock or after max_steps; fully reproducible from the seed. Raises
+    ValueError when max_steps is negative.
+
+    Only a self-EQ rule's rows (:func:`core._rule_rows`) read counts; the
+    others depend on the colours at the rule's two pre-states alone. So each
+    rule position keeps its rows with the two colour tuples they were built
+    from, until either tuple is replaced (a colour appeared at or vanished
+    from that state) or the active states change.
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
     rng = random.Random(seed)
     steps: list[tuple] = []
     current = start
+    counts = start._counts
+    at = _colors_at(counts)  # a state's tuple is replaced only when its colours change
+    rules = None
+    moved = True
     for _ in range(max_steps):
-        rows = _candidates(protocol, current)
-        if not rows:
+        if moved:
+            within = protocol.rules_within(frozenset(at))
+            if within is not rules:
+                rules = within
+                slots = [[rule, None, None, None] for rule in rules]
+            moved = False
+        total = 0
+        for slot in slots:
+            rule, here, there, rows = slot
+            p, p2 = rule.pre
+            # a slot keeps the tuples it compares alive, so `is` is safe;
+            # a self-EQ rule keeps None, so it is rebuilt at every step
+            if at[p] is not here or at[p2] is not there:
+                rows = _rule_rows(rule, at, counts)
+                slot[1:] = (at[p], at[p2], rows) if p != p2 or rule.guard is not _EQ else (None, None, rows)
+            total += len(rows)
+        if not total:
             break
-        instance = TransitionInstance(*rows[rng.randrange(len(rows))])
+        index = rng.randrange(total)
+        for slot in slots:
+            rows = slot[3]
+            if index < len(rows):
+                break
+            index -= len(rows)
+        instance = TransitionInstance(*rows[index])
         current = fire(protocol, current, instance)
         steps.append((instance, current))
+        before, counts = counts, current._counts
+        rule, d, e = instance
+        taken, given = ((rule.pre[0], d), (rule.pre[1], e)), ((rule.post[0], d), (rule.post[1], e))
+        if taken[0] in counts and taken[1] in counts and given[0] in before and given[1] in before:
+            continue  # no colour appeared or vanished
+        for key in taken:
+            state, color = key
+            if key not in counts and color in at.get(state, ()):  # vanished
+                colors = tuple(c for c in at[state] if c != color)
+                if colors:
+                    at[state] = colors
+                else:
+                    del at[state]
+                    moved = True
+        for key in given:
+            state, color = key
+            if key not in before:  # appeared
+                colors = at.get(state)
+                if colors is None:
+                    at[state] = (color,)
+                    moved = True
+                elif color not in colors:
+                    at[state] = tuple(sorted((*colors, color)))
     return Trace(start, tuple(steps))
 
 

@@ -7,6 +7,7 @@ from support import random_machine
 from udpp.core import UdppError
 from udpp.counter import (
     CmConfig,
+    CmRunResult,
     CounterMachine,
     Dec,
     Goto,
@@ -82,6 +83,13 @@ def test_trace_follows_stepping_and_ends_after_halt():
             expected.append((config, machine.instrs[config.pc - 1]))
             config = cm_step(machine, config)
         assert list(islice(cm_trace(machine), 60)) == expected
+
+
+def test_run_rejects_a_negative_budget():
+    machine = CounterMachine((Inc("x"), Goto(1)))
+    with pytest.raises(ValueError, match="max_steps"):
+        cm_run(machine, -1)
+    assert cm_run(machine, 0) == CmRunResult(False, 0, CmConfig(1, 0, 0), 0)
 
 
 def test_run_reproducible():

@@ -1068,6 +1068,54 @@ def test_lazy_pick_matches_the_list_and_index_scheduler():
     assert min(fired_duplicate, fired_self_eq, fired_neq) >= 100
 
 
+def _mixed_protocol(rng: random.Random) -> Protocol:
+    """A protocol on up to six states holding at least one EQ rule with
+    distinct pre-states, one self-EQ rule, one NEQ rule whose two
+    pre-states are equal and one rule twice, at random positions."""
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 6)))
+    p, p2 = rng.sample(states, 2)
+    q = rng.choice(states)
+    pres = [((p, p2), Guard.EQ), ((q, q), Guard.EQ), ((rng.choice(states),) * 2, Guard.NEQ)]
+    pres += [((rng.choice(states), rng.choice(states)), rng.choice((Guard.EQ, Guard.NEQ))) for _ in range(rng.randint(0, 5))]
+    rules = [Rule(pre, guard, (rng.choice(states), rng.choice(states))) for pre, guard in pres]
+    rules.append(rng.choice(rules))
+    rng.shuffle(rules)
+    return Protocol.make(states, rules, states, {state: 0 for state in states})
+
+
+def test_scheduler_matches_the_full_scan_on_mixed_protocols():
+    """The scheduler keeps a rule's rows while the colours at its pre-states
+    stay the same; every step must still pick what the full scan picks.
+    Counted from the configurations: steps after one that changed the
+    active states, steps after one that made a colour appear at or vanish
+    from a state but kept the active states, and steps after one that kept
+    every state's colours while a rule other than a self-EQ one could
+    fire, so the run read its rows from the step before."""
+    rng = random.Random(283)
+    moved = recoloured = reused = 0
+    for seed in range(300):
+        protocol = _mixed_protocol(rng)
+        start = random_config(rng, protocol.states, max_agents=12, max_colors=5, min_agents=2)
+        trace = random_fair_run(protocol, start, seed, 120)
+        assert _picks(trace) == _picks(list_pick_fair_run(protocol, start, seed, 120))
+        configs = [trace.initial, *(config for _, config in trace.steps)]
+        for before, after in zip(configs, configs[1:-1]):
+            active = after.active_states()
+            if before.active_states() != active:
+                moved += 1
+            elif {key for key, _ in before.items()} != {key for key, _ in after.items()}:
+                recoloured += 1
+            elif any(r.pre[0] != r.pre[1] or r.guard is Guard.NEQ for r in protocol.rules_within(active)):
+                reused += 1
+    assert min(moved, recoloured, reused) >= 100, (moved, recoloured, reused)
+
+
+def test_negative_step_budgets_are_rejected(seesaw, seesaw_runs):
+    with pytest.raises(ValueError, match="max_steps"):
+        random_fair_run(seesaw, seesaw_runs[0], seed=0, max_steps=-1)
+    assert random_fair_run(seesaw, seesaw_runs[0], seed=0, max_steps=0) == Trace(seesaw_runs[0])
+
+
 # SHA-256 of format_trace for seeds 0-19 of the compiled count4 witness (k=4),
 # 150 steps, recorded from the list-and-index scheduler
 COUNT4_RUN_SHA256 = (
