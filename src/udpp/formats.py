@@ -112,34 +112,49 @@ def format_protocol(protocol: Protocol) -> str:
 #
 # Repeated lines for the same (state, color) accumulate.
 
-def _agent_item(seen: dict[str, _AgentItem], number: int, line: str, tokens: list[str]) -> _AgentItem:
-    """Check one 'agent <state> <color> <count>' line and remember its item
-    in seen, keyed by the line, so a caller checks each distinct line once."""
-    if tokens[0] != "agent" or len(tokens) != 4:
-        raise ParseError(number, "expected: agent <state> <color> <count>")
-    try:
-        color = int(tokens[2])
-        count = int(tokens[3])
-    except ValueError:
-        raise ParseError(number, "color and count must be integers") from None
-    if count < 1:
-        raise ParseError(number, "count must be positive")
-    item = seen[line] = ((tokens[1], color), count)
-    return item
-
-
-def _configuration(counts: dict[CountKey, int]) -> Configuration:
-    """The configuration of counts summed from checked agent lines."""
-    return Configuration._trusted(dict(sorted(counts.items())))
+def _blocks(text: str, fire=None) -> tuple[list[Configuration], list[TransitionInstance]]:
+    """The configuration blocks of text and the fire instances between them.
+    memo maps a raw line to its checked agent item, or to () for a blank or
+    comment-only line, stored once its checks pass, so only a line's first
+    occurrence is cut, split and checked. fire(number, tokens, block) checks
+    any other content line at every occurrence and returns its instance;
+    without fire, every content line must be an agent line. Counts are
+    positive, so a block is empty exactly when it holds no agent item."""
+    memo: dict[str, _AgentItem | tuple[()]] = {}
+    block: list[_AgentItem] = []
+    blocks = [block]
+    fires: list[TransitionInstance] = []
+    for number, raw in enumerate(text.splitlines(), 1):
+        item = memo.get(raw)
+        if item:
+            block.append(item)
+        elif item is None:
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                memo[raw] = ()
+            elif tokens[0] == "agent" or fire is None:
+                if tokens[0] != "agent" or len(tokens) != 4:
+                    raise ParseError(number, "expected: agent <state> <color> <count>")
+                try:
+                    color, count = int(tokens[2]), int(tokens[3])
+                except ValueError:
+                    raise ParseError(number, "color and count must be integers") from None
+                if count < 1:
+                    raise ParseError(number, "count must be positive")
+                block.append(memo.setdefault(raw, ((tokens[1], color), count)))
+            else:
+                fires.append(fire(number, tokens, block))
+                last_fire = number
+                blocks.append(block := [])
+    if fires and not block:  # then the last fire line is the last content line
+        raise ParseError(last_fire, "trace ends with a fire line but no configuration")
+    # The sorted dict comes out shorter only when a key repeats: then sum.
+    return [Configuration._trusted(c) if len(c := dict(sorted(items))) == len(items) else Configuration(items)
+            for items in blocks], fires
 
 
 def parse_configuration(text: str) -> Configuration:
-    seen: dict[str, _AgentItem] = {}
-    counts: dict[CountKey, int] = {}
-    for number, line in _content_lines(text):
-        key, count = seen.get(line) or _agent_item(seen, number, line, line.split())
-        counts[key] = counts.get(key, 0) + count
-    return _configuration(counts)
+    return _blocks(text)[0][0]
 
 
 class _AgentLines(dict):
@@ -279,49 +294,34 @@ def format_trace(protocol: Protocol, trace: Trace) -> str:
 
 
 def parse_trace(protocol: Protocol, text: str) -> Trace:
+    """The trace in text. Agent lines within a block may come in any order
+    and a repeated (state, color) pair adds up; lines may end in LF, CRLF or
+    CR; a ParseError names the 1-based line of its first offending occurrence."""
     rules = protocol.rules
     first_label = protocol._first_label
-    # Counts are positive, so a block is empty exactly when no agent line
-    # has been read into it.
-    seen: dict[str, _AgentItem] = {}
-    block: dict[CountKey, int] = {}
-    blocks = [block]
-    fires: list[TransitionInstance] = []
-    number = 0
-    for number, line in _content_lines(text):
-        item = seen.get(line)
-        if item is None:
-            tokens = line.split()
-            if tokens[0] == "fire":
-                if len(tokens) != 4:
-                    raise ParseError(number, "expected: fire <rule-name> <d> <e>")
-                if not block:
-                    raise ParseError(number, "expected a configuration block before this line")
-                name = tokens[1]
-                position = first_label.get(name)
-                if position is None or not _readable(name, len(rules)):
-                    position = _positional(name, len(rules))
-                    if position is None:
-                        raise ParseError(number, f"unknown rule name '{name}'")
-                rule = rules[position]
-                try:
-                    d, e = int(tokens[2]), int(tokens[3])
-                except ValueError:
-                    raise ParseError(number, "colors must be integers") from None
-                instance = TransitionInstance(rule, d, e)
-                problem = instance.guard_violation()
-                if problem is not None:
-                    raise ParseError(number, problem)
-                fires.append(instance)
-                block = {}
-                blocks.append(block)
-                continue
-            if tokens[0] != "agent":
-                raise ParseError(number, f"unknown directive '{tokens[0]}'")
-            item = _agent_item(seen, number, line, tokens)
-        key, count = item
-        block[key] = block.get(key, 0) + count
-    if fires and not block:
-        raise ParseError(number, "trace ends with a fire line but no configuration")
-    initial, *after = map(_configuration, blocks)
+
+    def fire(number: int, tokens: list[str], block: list[_AgentItem]) -> TransitionInstance:
+        if tokens[0] != "fire":
+            raise ParseError(number, f"unknown directive '{tokens[0]}'")
+        if len(tokens) != 4:
+            raise ParseError(number, "expected: fire <rule-name> <d> <e>")
+        if not block:
+            raise ParseError(number, "expected a configuration block before this line")
+        name = tokens[1]
+        position = first_label.get(name)
+        if position is None or not _readable(name, len(rules)):
+            position = _positional(name, len(rules))
+            if position is None:
+                raise ParseError(number, f"unknown rule name '{name}'")
+        try:
+            d, e = int(tokens[2]), int(tokens[3])
+        except ValueError:
+            raise ParseError(number, "colors must be integers") from None
+        instance = TransitionInstance(rules[position], d, e)
+        problem = instance.guard_violation()
+        if problem is not None:
+            raise ParseError(number, problem)
+        return instance
+
+    (initial, *after), fires = _blocks(text, fire)
     return Trace(initial, tuple(zip(fires, after)))

@@ -98,11 +98,13 @@ class _Packing:
     False and is left out of :meth:`rules_within`: the earlier rule has the
     same pre-states, so it is in every active set the later one is in, and
     it reaches each of the later rule's successors first (see
-    :func:`_successors`). The scheduler's :func:`core._candidates` keeps
-    every rule. Every memo here, the interned columns, their rewrites and
-    the column -> id memo that :meth:`encode` reads included, lives as long
-    as the protocol. The packing holds the protocol's rules and pre-state
-    index, not the protocol, which holds the packing.
+    :func:`_successors`). Concrete configurations keep every rule: the
+    scheduler reads :meth:`core.Protocol.rules_within` through
+    :func:`core._rule_rows`, and :func:`core.enabled_instances` goes through
+    :func:`core._candidates`. Every memo here, the interned columns, their
+    rewrites and the column -> id memo that :meth:`encode` reads included,
+    lives as long as the protocol. The packing holds the protocol's rules
+    and pre-state index, not the protocol, which holds the packing.
     """
 
     def __init__(self, protocol: Protocol) -> None:

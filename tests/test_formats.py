@@ -296,7 +296,11 @@ def _parsed_or_error(parse, *args):
 
 def _mutants(rng: random.Random, text: str) -> list[str]:
     """Seeded damage to a text: one line deleted, one line copied to another
-    place, one token corrupted, one trailing comment added."""
+    place, one token corrupted, one trailing comment added; and text that
+    parses alike: one block's lines shuffled, CRLF and CR line ends, a
+    whitespace-only and a comment-only line inside a block, and the last
+    block replaced by blank and comment lines, which leaves a trace's last
+    fire line dangling."""
     lines = text.split("\n")
     deleted = lines[:]
     del deleted[rng.randrange(len(deleted))]
@@ -312,7 +316,22 @@ def _mutants(rng: random.Random, text: str) -> list[str]:
     commented = lines[:]
     at = rng.randrange(len(commented))
     commented[at] += rng.choice(("  # note", "\t#", " # fire r0 0 1"))
-    return ["\n".join(mutant) for mutant in (deleted, copied, corrupted, commented)]
+    chunks = text.split("\n\n")  # blocks at even positions, fire lines between them
+    at = rng.randrange(0, len(chunks), 2)
+    shuffled = chunks[at].splitlines()
+    rng.shuffle(shuffled)
+    chunks[at] = "\n".join(shuffled)
+    padded = lines[:]
+    at = rng.choice([i for i in range(1, len(lines)) if lines[i - 1].startswith("agent") and lines[i].startswith("agent")] or [0])
+    padded[at:at] = [" \t", "# inside a block"]
+    dangling = text.rsplit("\n\n", 1)[0] + "\n\n  \n# no configuration follows\n\n"
+    return [
+        *("\n".join(mutant) for mutant in (deleted, copied, corrupted, commented, padded)),
+        "\n\n".join(chunks) + "\n",
+        text.replace("\n", "\r\n"),
+        text.replace("\n", "\r"),
+        dangling,
+    ]
 
 
 def test_trace_round_trip_matches_the_line_by_line_reference():
