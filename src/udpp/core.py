@@ -66,6 +66,13 @@ class Rule:
     post: tuple[StateId, StateId]
     label: str | None = field(default=None, compare=False)
 
+    def __init__(
+        self, pre: tuple[StateId, StateId], guard: Guard, post: tuple[StateId, StateId], label: str | None = None
+    ) -> None:
+        # The generated __init__ sets each field through object.__setattr__;
+        # one update of the instance dict does the same in one call.
+        self.__dict__.update(pre=pre, guard=guard, post=post, label=label)
+
     def __str__(self) -> str:
         head = f"{self.label}: " if self.label else ""
         return (
@@ -264,9 +271,10 @@ def validate_protocol(protocol: Protocol) -> list[str]:
         value = protocol.output.get(state)
         if value is not None and value not in (0, 1):
             problems.append(f"output of '{state}' is {value!r}, expected 0 or 1")
+    declared = protocol.state_set
     for index, rule in enumerate(protocol.rules):
         for state in (*rule.pre, *rule.post):
-            if state not in protocol.state_set:
+            if state not in declared:
                 problems.append(f"rule {index} references undeclared state '{state}'")
     return problems
 

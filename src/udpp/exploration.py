@@ -340,9 +340,11 @@ def random_fair_run(
 
     Only a self-EQ rule's rows (:func:`core._rule_rows`) read counts; the
     others depend on the colours at the rule's two pre-states alone. So each
-    rule position keeps its rows with the two colour tuples they were built
-    from, until either tuple is replaced (a colour appeared at or vanished
-    from that state) or the active states change.
+    rule keeps its rows in one slot for the whole run, with the two colour
+    tuples they were built from, until either tuple is replaced (a colour
+    appeared at or vanished from that state). A rule that stays active when
+    the active states change keeps its slot, and each set of active states
+    keeps its list of slots, so a set met again reuses it.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be non-negative")
@@ -351,14 +353,18 @@ def random_fair_run(
     current = start
     counts = start._counts
     at = _colors_at(counts)  # a state's tuple is replaced only when its colours change
-    rules = None
+    slot_of: dict[int, list] = {}  # id(rule) -> the rule's one slot; the slot holds the rule
+    slots_within: dict[frozenset[StateId], list[list]] = {}  # active states -> their rules' slots
     moved = True
     for _ in range(max_steps):
         if moved:
-            within = protocol.rules_within(frozenset(at))
-            if within is not rules:
-                rules = within
-                slots = [[rule, None, None, None] for rule in rules]
+            active = frozenset(at)
+            slots = slots_within.get(active)
+            if slots is None:
+                slots = slots_within[active] = [
+                    slot_of.get(id(rule)) or slot_of.setdefault(id(rule), [rule, None, None, None])
+                    for rule in protocol.rules_within(active)
+                ]
             moved = False
         total = 0
         for slot in slots:

@@ -47,15 +47,34 @@ _GUARDS = {"eq": (Guard.EQ,), "neq": (Guard.NEQ,), "any": (Guard.EQ, Guard.NEQ)}
 
 
 def parse_protocol(text: str) -> Protocol:
+    """The protocol in text, read in one pass over raw lines; a rule line's
+    four states are checked at once, and one by one only to name the first
+    unknown."""
     states: list[str] = []
     declared: set[str] = set()
     initial: list[str] = []
     output: dict[str, int] = {}
     rules: list[Rule] = []
-    for number, line in _content_lines(text):
-        tokens = line.split()
+    for number, raw in enumerate(text.splitlines(), 1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
+            continue
         keyword = tokens[0]
-        if keyword == "state":
+        if keyword == "rule":
+            if len(tokens) != 6:
+                raise ParseError(number, "expected: rule <p> <p'> <eq|neq|any> <q> <q'>")
+            _, p, p2, guard_token, q, q2 = tokens
+            if not declared.issuperset((p, p2, q, q2)):
+                state = next(state for state in (p, p2, q, q2) if state not in declared)
+                raise ParseError(number, f"unknown state '{state}'")
+            guards = _GUARDS.get(guard_token)
+            if guards is None:
+                raise ParseError(number, f"unknown guard '{guard_token}'")
+            for guard in guards:
+                rules.append(Rule((p, p2), guard, (q, q2)))
+        elif keyword == "state":
             if len(tokens) != 2:
                 raise ParseError(number, "expected: state <id>")
             if tokens[1] in declared:
@@ -78,18 +97,6 @@ def parse_protocol(text: str) -> Protocol:
             if tokens[1] in output:
                 raise ParseError(number, f"output of '{tokens[1]}' assigned twice")
             output[tokens[1]] = int(tokens[2])
-        elif keyword == "rule":
-            if len(tokens) != 6:
-                raise ParseError(number, "expected: rule <p> <p'> <eq|neq|any> <q> <q'>")
-            p, p2, guard_token, q, q2 = tokens[1:]
-            for state in (p, p2, q, q2):
-                if state not in declared:
-                    raise ParseError(number, f"unknown state '{state}'")
-            guards = _GUARDS.get(guard_token)
-            if guards is None:
-                raise ParseError(number, f"unknown guard '{guard_token}'")
-            for guard in guards:
-                rules.append(Rule((p, p2), guard, (q, q2)))
         else:
             raise ParseError(number, f"unknown directive '{keyword}'")
     return Protocol.make(states, rules, initial, output)

@@ -3,30 +3,31 @@
 An orbit node is a configuration up to color renaming, a
 :class:`CanonicalConfig`. The explorer steps a packed form of it, written
 over a state -> rank table and a table of interned column ids that each
-protocol builds once (:class:`_Packing`): a packed node is a sorted tuple
-of column ids. A :class:`ReachGraph` numbers its nodes in discovery order
-and keeps its edges in compressed sparse rows, so that Tarjan's algorithm
-and the path searches run on ints. A node is decoded to a CanonicalConfig
-only when it is read. This module is the only one that reads or writes
-packed columns or column ids: the explorer gets packed successors from
-:func:`_successors` (or ids from a :class:`_Table`) and the one opinion
-pass, :func:`_components`, a bottom component's states from
-:meth:`_Packing.states`. :mod:`udpp.exploration` re-exports the public
+protocol builds once (:class:`_Packing`): a packed column is the sorted
+tuple of its agents' ranks, kept beside its (rank, count, ...) form, and a
+packed node is a sorted tuple of column ids. A :class:`ReachGraph` numbers
+its nodes in discovery order and keeps its edges in compressed sparse rows,
+so that Tarjan's algorithm and the path searches run on ints. A node is
+decoded to a CanonicalConfig only when it is read. This module is the only
+one that reads or writes packed columns or column ids: the explorer gets
+packed successors from :func:`_successors` (or ids from a :class:`_Table`)
+and the one opinion pass, :func:`_components`, a bottom component's states
+from :meth:`_Packing.states`. :mod:`udpp.exploration` re-exports the public
 names.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect
 from collections import deque
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
+from itertools import repeat
 
 from .core import _EQ, Configuration, Protocol, StateId, _positions_within
 
 Column = tuple[tuple[StateId, int], ...]
-# A packed column is the flat int tuple (rank, count, rank, count, ...) of a
-# column, a packed node the tuple of its interned column ids sorted by id
+# A packed column is the sorted tuple of its agents' ranks, one entry per
+# agent, a packed node the tuple of its interned column ids sorted by id
 # (see _Packing).
 Packed = tuple[int, ...]
 
@@ -74,13 +75,18 @@ class _Packing:
 
     Each state gets its rank among the sorted names of the protocol's
     states: the declared and initial ones and those its rules name. A column
-    packs to the flat tuple (rank, count, rank, count, ...); ranks follow
-    the names, so packed columns sort as their decoded forms do. Each packed
-    column is interned once: ``columns[i]`` is the packed column with id i
-    and ``ids`` maps a packed column to its id, giving the next id on first
-    lookup. A node packs to its column ids sorted by id, so packed nodes do
-    not sort as their signatures do; :func:`_successors` sorts a node's ids
-    by column when it expands it, and :meth:`decode` sorts the columns.
+    packs to the sorted tuple of its agents' ranks, one entry per agent, so
+    that a move rewrites it with a few list operations (see
+    :class:`_Rewrites`). Each packed column is interned once: ``columns[i]``
+    is the packed column with id i and ``ids`` maps a packed column to its
+    id, giving the next id on first lookup. Multiset order is not signature
+    order ({a:2} packs before {a:1,b:1}, whose column sorts first), so
+    ``pairs[i]``, built when column i is interned, holds it as the flat
+    tuple (rank, count, rank, count, ...); ranks follow the names, so these
+    sort as the decoded columns do, and they give the ranks a column holds.
+    A node packs to its column ids sorted by id, so packed nodes do not sort
+    as their signatures do; :func:`_successors` sorts a node's ids by their
+    pairs when it expands it, and :meth:`decode` sorts the columns.
 
     A move takes one agent from each state of a sorted tuple and gives one
     to each state of another; ``moves[key]`` is the (take, give) pair of a
@@ -118,18 +124,23 @@ class _Packing:
         self._effects: set[int | frozenset[int]] = set()  # the effects of the rules packed so far
         self._within: dict[frozenset[int], tuple[tuple[int, int, int, int, int], ...]] = {}
         self.columns: list[tuple[int, ...]] = []  # id -> packed column
-        names, ranks, moves, columns = self.names, self.ranks, self.moves, self.columns
+        self.pairs: list[tuple[int, ...]] = []  # id -> its column's (rank, count, ...) form
+        names, ranks, moves, columns, pairs = self.names, self.ranks, self.moves, self.columns, self.pairs
 
         def intern(column: tuple[int, ...]) -> int:
+            pair: list[int] = []
+            for r in dict.fromkeys(column):
+                pair += r, column.count(r)
             columns.append(column)
+            pairs.append(tuple(pair))
             return len(columns) - 1
 
         # No memo's fill reaches the packing or a memo that reaches the fill,
         # so a packing is freed without the cycle collector.
         self.ids = ids = _Lazy(intern)  # packed column -> id
         self.rewrites = _Lazy(lambda i: _Rewrites(columns[i], moves, ids))  # id -> its column's rewrites
-        self._decoded = _Lazy(lambda i: tuple(zip(map(names.__getitem__, columns[i][::2]), columns[i][1::2])))
-        self._column_ids = _Lazy(lambda column: ids[tuple(x for q, n in column for x in (ranks[q], n))])
+        self._decoded = _Lazy(lambda i: tuple(zip(map(names.__getitem__, pairs[i][::2]), pairs[i][1::2])))
+        self._column_ids = _Lazy(lambda column: ids[tuple(r for q, n in column for r in repeat(ranks[q], n))])
 
     def rules_within(self, active: frozenset[int]) -> tuple[tuple[int, int, int, int, int], ...]:
         """The packed rules whose two pre-states are ranked in active, in
@@ -182,8 +193,8 @@ class _Packing:
 
     def states(self, nodes: list[Packed], ids: Iterable[int]) -> set[StateId]:
         """The states active at the packed nodes ``nodes[v]`` for v in ids, read off by rank."""
-        columns = self.columns
-        ranks = {r for i in {i for v in ids for i in nodes[v]} for r in columns[i][::2]}
+        pairs = self.pairs
+        ranks = {r for i in {i for v in ids for i in nodes[v]} for r in pairs[i][::2]}
         return set(map(self.names.__getitem__, ranks))
 
 
@@ -275,10 +286,9 @@ class ReachGraph:
 class _Rewrites(dict):
     """move key -> the id of one packed column after that move (see
     :class:`_Packing`), or False when the column lacks an agent to take;
-    computed on first lookup, in one pass over a list copy of the column,
-    and interned through ids. Every take comes before any give, so a give
-    never stands in for a missing agent; a rank given anew goes in at its
-    sorted position, as :func:`core._apply` sorts."""
+    computed on first lookup from a list copy of the column: remove each
+    take, add the gives, sort, and intern through ids. Every take comes
+    before any give, so a give never stands in for a missing agent."""
 
     def __init__(
         self, column: tuple[int, ...], moves: list[tuple[tuple[int, ...], tuple[int, ...]]], ids: Mapping
@@ -290,27 +300,13 @@ class _Rewrites(dict):
         take, give = self.moves[key]
         out = list(self.column)
         for r in take:
-            ranks = out[::2]
-            if r not in ranks:
+            if r not in out:
                 self[key] = False
                 return False
-            i = 2 * ranks.index(r)
-            if out[i + 1] == 1:
-                del out[i : i + 2]
-            else:
-                out[i + 1] -= 1
-        if take == give:
-            after = self.column
-        else:
-            for r in give:
-                ranks = out[::2]
-                if r in ranks:
-                    out[2 * ranks.index(r) + 1] += 1
-                else:
-                    i = 2 * bisect(ranks, r)
-                    out[i:i] = (r, 1)
-            after = tuple(out)
-        i = self[key] = self.ids[after]
+            out.remove(r)
+        out += give
+        out.sort()
+        i = self[key] = self.ids[tuple(out)]
         return i
 
 
@@ -323,12 +319,13 @@ def _successors(packing: _Packing, node: Packed) -> dict[Packed, None]:
     configuration, so an instance's successor depends only on its rule and
     on the classes of d and e. The representative gives the colors to the
     classes in column order, so the node's distinct ids are sorted by their
-    packed columns once per call. The first instance of a rule with d in
-    class c and e in class c2 takes the first color of each class (for e,
-    the second one when c2 is c), and these first instances come in the
-    order of (c, c2). Trying the classes in that order therefore meets each
-    successor where firing meets it first. A successor replaces the ids of
-    the classes that moved and sorts the ids again.
+    columns' pairs (see :class:`_Packing`) once per call. The first
+    instance of a rule with d in class c and e in class c2 takes the first
+    color of each class (for e, the second one when c2 is c), and these
+    first instances come in the order of (c, c2). Trying the classes in
+    that order therefore meets each successor where firing meets it first.
+    A successor replaces the ids of the classes that moved and sorts the ids
+    again.
 
     A NEQ rule in which one agent keeps its state reaches one successor per
     class of the agent that moves; the keeping agent's class only decides
@@ -355,12 +352,12 @@ def _successors(packing: _Packing, node: Packed) -> dict[Packed, None]:
     :func:`core._apply` on purpose: both merges measured slower (ROADMAP,
     north-star item 2).
     """
-    columns, memo = packing.columns, packing.rewrites
+    pairs, memo = packing.pairs, packing.rewrites
     at: dict[int, list[tuple[_Rewrites, int, bool]]] = {}  # rank -> the classes holding it, in column order
-    for i in sorted(set(node), key=columns.__getitem__):
+    for i in sorted(set(node), key=pairs.__getitem__):
         # a class: its column's rewrites, the position of its first id in node, whether it has two colors
         cls = (memo[i], node.index(i), node.count(i) > 1)
-        for r in columns[i][::2]:
+        for r in pairs[i][::2]:
             at.setdefault(r, []).append(cls)
 
     out: dict[Packed, None] = {}

@@ -503,6 +503,58 @@ def _reference_add_agent_line(counts: dict[tuple[str, int], int], number: int, t
     counts[key] = counts.get(key, 0) + count
 
 
+def reference_parse_protocol(text: str) -> Protocol:
+    """The protocol parser that read comment-stripped lines through a
+    generator and checked a rule line's states one by one, kept as the
+    reference for the one-pass reader."""
+    guards_of = {"eq": (Guard.EQ,), "neq": (Guard.NEQ,), "any": (Guard.EQ, Guard.NEQ)}
+    states: list[str] = []
+    declared: set[str] = set()
+    initial: list[str] = []
+    output: dict[str, int] = {}
+    rules: list[Rule] = []
+    for number, tokens in _reference_content_lines(text):
+        keyword = tokens[0]
+        if keyword == "state":
+            if len(tokens) != 2:
+                raise ParseError(number, "expected: state <id>")
+            if tokens[1] in declared:
+                raise ParseError(number, f"state '{tokens[1]}' declared twice")
+            declared.add(tokens[1])
+            states.append(tokens[1])
+        elif keyword == "init":
+            if len(tokens) != 2:
+                raise ParseError(number, "expected: init <id>")
+            if tokens[1] not in declared:
+                raise ParseError(number, f"unknown state '{tokens[1]}'")
+            initial.append(tokens[1])
+        elif keyword == "out":
+            if len(tokens) != 3:
+                raise ParseError(number, "expected: out <id> <0|1>")
+            if tokens[1] not in declared:
+                raise ParseError(number, f"unknown state '{tokens[1]}'")
+            if tokens[2] not in ("0", "1"):
+                raise ParseError(number, f"output must be 0 or 1, got '{tokens[2]}'")
+            if tokens[1] in output:
+                raise ParseError(number, f"output of '{tokens[1]}' assigned twice")
+            output[tokens[1]] = int(tokens[2])
+        elif keyword == "rule":
+            if len(tokens) != 6:
+                raise ParseError(number, "expected: rule <p> <p'> <eq|neq|any> <q> <q'>")
+            p, p2, guard_token, q, q2 = tokens[1:]
+            for state in (p, p2, q, q2):
+                if state not in declared:
+                    raise ParseError(number, f"unknown state '{state}'")
+            guards = guards_of.get(guard_token)
+            if guards is None:
+                raise ParseError(number, f"unknown guard '{guard_token}'")
+            for guard in guards:
+                rules.append(Rule((p, p2), guard, (q, q2)))
+        else:
+            raise ParseError(number, f"unknown directive '{keyword}'")
+    return Protocol.make(states, rules, initial, output)
+
+
 def reference_parse_configuration(text: str) -> Configuration:
     counts: dict[tuple[str, int], int] = {}
     for number, tokens in _reference_content_lines(text):

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -98,6 +99,18 @@ def test_instance_str_and_repr_are_pinned(seesaw):
         "TransitionInstance(rule=Rule(pre=('p', 'q'), guard=<Guard.NEQ: 'neq'>, "
         "post=('q', 'q'), label='recruit'), d=0, e=1)"
     )
+
+
+def test_a_rule_stays_frozen_and_its_label_stays_out_of_equality():
+    rule = Rule(("p", "q"), Guard.NEQ, ("q", "q"), "recruit")
+    assert rule == Rule(pre=("p", "q"), guard=Guard.NEQ, post=("q", "q"))
+    assert hash(rule) == hash(Rule(("p", "q"), Guard.NEQ, ("q", "q"), label="other"))
+    assert rule != Rule(("p", "q"), Guard.EQ, ("q", "q"), "recruit")
+    renamed = replace(rule, label="renamed")
+    assert (renamed.pre, renamed.guard, renamed.post, renamed.label) == (("p", "q"), Guard.NEQ, ("q", "q"), "renamed")
+    assert replace(rule, guard=Guard.EQ) == Rule(("p", "q"), Guard.EQ, ("q", "q"))
+    with pytest.raises(FrozenInstanceError):
+        rule.label = "changed"
 
 
 def test_enabled_empty_config(seesaw):

@@ -798,13 +798,13 @@ def test_a_column_rewrite_matches_the_copy_and_sort_fill():
     cases = Counter()
     for _ in range(150):
         chosen = sorted(rng.sample(ranks, rng.randint(1, 4)))
-        column = tuple(x for r in chosen for x in (r, rng.randint(1, 2)))
-        rewrites = _Rewrites(column, moves, packing.ids)
+        column = tuple(x for r in chosen for x in (r, rng.randint(1, 2)))  # the (rank, count, ...) form
+        rewrites = _Rewrites(_agents(column), moves, packing.ids)
         for key, (take, give) in enumerate(moves):
             want = reference_rewrite(column, take, give)
             got = rewrites[key]
-            assert (got if got is False else packing.columns[got]) == want, (column, take, give)
-            assert got is False or packing.ids[want] == got
+            assert (got if got is False else packing.pairs[got]) == want, (column, take, give)
+            assert got is False or packing.ids[_agents(want)] == got
             counts = dict(zip(column[::2], column[1::2]))
             if take[0] == take[-1] and len(take) == 2 and take[0] in counts:
                 cases["double take", counts[take[0]]] += 1
@@ -817,6 +817,11 @@ def test_a_column_rewrite_matches_the_copy_and_sort_fill():
     assert set(cases) == {
         ("double take", 1), ("double take", 2), "give back", "new lowest rank", "take only the give supplies"
     }
+
+
+def _agents(column):
+    """The packed multiset form of a (rank, count, ...) column: its agents' ranks, sorted."""
+    return tuple(r for r, n in zip(column[::2], column[1::2]) for _ in range(n))
 
 
 def _catalyst_protocol(rng):

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from support import (
     reference_format_configuration,
     reference_format_trace,
     reference_parse_configuration,
+    reference_parse_protocol,
     reference_parse_trace,
     reference_rule_names,
     seesaw_configs,
@@ -30,6 +32,8 @@ from udpp.formats import (
     _name,
 )
 from udpp.reduction import compile_machine
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def test_protocol_roundtrip():
@@ -68,6 +72,80 @@ def test_protocol_parse_errors_carry_line_numbers():
         with pytest.raises(ParseError) as err:
             parse_protocol(text)
         assert str(err.value) == error
+
+
+def _protocol_mutants(rng: random.Random, text: str) -> list[str]:
+    """Seeded variants of a protocol text with at least one rule and one
+    out line: an unknown state at each of a rule line's four state
+    positions, two unknown states on one line, an unknown guard alone and
+    beside an unknown state, rule and state lines of the wrong arity, an any guard, a
+    comment, blank or whitespace-only line inserted, a trailing comment, a
+    comment that cuts a rule line short, CRLF and CR line ends, and an out
+    line repeated further down."""
+    lines = text.split("\n")
+    at = rng.choice([i for i, line in enumerate(lines) if line.startswith("rule ")])
+    tokens = lines[at].split()
+
+    def with_rule(*changes: tuple[int, str]) -> str:
+        changed = tokens[:]
+        for position, token in changes:
+            changed[position] = token
+        return "\n".join([*lines[:at], " ".join(changed), *lines[at + 1 :]])
+
+    first, second = rng.sample((1, 2, 4, 5), 2)
+    padded = lines[:]
+    padded.insert(rng.randrange(len(padded) + 1), rng.choice(("", " \t", "# note", "  # rule zz zz eq zz zz")))
+    out_at = rng.choice([i for i, line in enumerate(lines) if line.startswith("out ")])
+    repeated = lines[:]
+    repeated.insert(rng.randint(out_at + 1, len(lines)), lines[out_at])
+    return [
+        *(with_rule((position, "zz")) for position in (1, 2, 4, 5)),
+        with_rule((first, "zz"), (second, "yy")),
+        with_rule((3, "maybe")),
+        with_rule((3, "maybe"), (first, "zz")),
+        with_rule((3, "any")),
+        with_rule((3, "any"), (first, "zz")),
+        with_rule((5, "")),
+        with_rule((5, tokens[5] + " extra")),
+        with_rule((3, "# " + tokens[3])),
+        with_rule((5, tokens[5] + rng.choice(("  # note", "\t#", "#x")))),
+        text.replace("state ", "state extra ", 1),
+        "\n".join(padded),
+        text.replace("\n", "\r\n"),
+        text.replace("\n", "\r"),
+        "\n".join(repeated),
+    ]
+
+
+def test_protocol_parse_matches_the_line_by_line_reference():
+    texts = [
+        (SAMPLES / "seesaw.pp").read_text(encoding="utf-8"),
+        format_protocol(compile_machine(parse_machine((SAMPLES / "count4.cm").read_text(encoding="utf-8")))),
+    ]
+    rng = random.Random(30)
+    while len(texts) < 40:
+        protocol = random_protocol(rng, max_states=5, max_rules=4)
+        if protocol.rules:
+            texts.append(format_protocol(protocol))
+    outcomes = set()
+    for seed, text in enumerate(texts):
+        for case in (text, *_protocol_mutants(random.Random(seed), text)):
+            got = _parsed_or_error(parse_protocol, case)
+            expected = _parsed_or_error(reference_parse_protocol, case)
+            assert got == expected, (seed, case)
+            if isinstance(got, Protocol):
+                assert [rule.label for rule in got.rules] == [rule.label for rule in expected.rules]
+                outcomes.add("parsed")
+            else:
+                outcomes.add(got.split(": ", 1)[1].split(" '")[0])
+    assert outcomes == {
+        "parsed",
+        "unknown state",
+        "unknown guard",
+        "expected: rule <p> <p'> <eq|neq|any> <q> <q'>",
+        "expected: state <id>",
+        "output of",
+    }, outcomes
 
 
 def test_configuration_roundtrip_and_accumulation():
